@@ -11,14 +11,21 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== benchmark build (perfbench) =="
+# perfbench is a workspace of its own with path dependencies on
+# crates/*: building it here makes an API change that breaks the
+# benchmark fail this gate, not the next benchmark run. Same target
+# directory as perfbench/run.py's default.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
+    cargo build --release --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test (PFDBG_THREADS=1) =="
 PFDBG_THREADS=1 cargo test -q --workspace
 
 echo "== cargo test (PFDBG_THREADS=8) =="
 # Same suite under the parallel thread policy: every pfdbg-par path
-# (cut enumeration, speculative routing, sharded BDD construction and
-# SCG specialization) must stay bit-identical to the serial results the
-# tests assert.
+# (cut enumeration, sharded BDD construction and SCG specialization)
+# must stay bit-identical to the serial results the tests assert.
 PFDBG_THREADS=8 cargo test -q --workspace
 
 echo "== chaos pass (PFDBG_ICAP_FAULT_RATE=0.05) =="

@@ -12,9 +12,11 @@
 //! `--runs` times serially (1 thread) and `--runs` times with
 //! `--par-threads` workers, and the per-stage medians (mapping,
 //! placement, routing, generalized-bitstream construction) land in
-//! `BENCH_compile.json` together with the speedups. The parallel flow
-//! is bit-identical to the serial one (asserted in the tier-1 suite);
-//! the speedup you see depends on how many hardware threads the host
+//! `BENCH_compile.json` together with the speedups, the build profile
+//! and the git revision. Routing is serial at every thread count, so
+//! its two columns differ only by noise. The parallel flow is
+//! bit-identical to the serial one (asserted in the tier-1 suite); the
+//! speedup you see depends on how many hardware threads the host
 //! actually has — recorded as `host_threads`.
 //!
 //! ```text
@@ -39,6 +41,18 @@ fn flag_usize(rest: &[String], name: &str, default: usize) -> usize {
     flag(rest, name).map_or(default, |v| {
         v.parse().unwrap_or_else(|_| panic!("{name} expects a number, got {v:?}"))
     })
+}
+
+/// The checkout's revision (`-dirty` when the tree has uncommitted
+/// changes), or `unknown` outside a git checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
 }
 
 /// The benchmark stages, named by the spans the offline flow emits.
@@ -217,6 +231,11 @@ fn main() {
         ("runs", JsonValue::Num(runs as f64)),
         ("parallel_threads", JsonValue::Num(par_threads as f64)),
         ("host_threads", JsonValue::Num(host_threads as f64)),
+        (
+            "profile",
+            JsonValue::Str(if cfg!(debug_assertions) { "debug" } else { "release" }.into()),
+        ),
+        ("git_rev", JsonValue::Str(git_rev())),
     ];
     for (k, v) in &stage_fields {
         fields.push((k.as_str(), JsonValue::Num(*v)));

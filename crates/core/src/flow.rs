@@ -56,8 +56,8 @@ pub struct OfflineConfig {
     /// Run place & route and build the generalized bitstream (skippable
     /// for area-only experiments on large designs).
     pub run_pr: bool,
-    /// Worker threads for the parallel stages (mapping, routing,
-    /// generalized-bitstream construction); 0 = global
+    /// Worker threads for the parallel stages (mapping and
+    /// generalized-bitstream construction; routing is serial); 0 = global
     /// [`pfdbg_util::par::threads`] policy. The offline products are
     /// identical at every thread count.
     pub threads: usize,
@@ -195,13 +195,8 @@ fn offline_inner(inst: &Instrumented, cfg: &OfflineConfig) -> Result<OfflineResu
         });
     }
 
-    // TPaR place & route (the router inherits the flow-level thread
-    // count unless the caller pinned one explicitly).
-    let mut tpar_cfg = cfg.tpar;
-    if tpar_cfg.route.threads == 0 {
-        tpar_cfg.route.threads = cfg.threads;
-    }
-    let result = tpar(&mapped, &kinds, &tpar_cfg)?;
+    // TPaR place & route.
+    let result = tpar(&mapped, &kinds, &cfg.tpar)?;
 
     // Generalized bitstream.
     let layout = {

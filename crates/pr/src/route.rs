@@ -12,9 +12,9 @@
 
 use crate::pack::PackedDesign;
 use crate::place::Placement;
-use pfdbg_arch::{Device, RRGraph, RRKind, RRNode};
+use pfdbg_arch::{Device, RRGraph, RRKind, RRNode, RRNodeData};
 use pfdbg_util::id::EntityId;
-use pfdbg_util::{FxHashMap, FxHashSet};
+use pfdbg_util::FxHashMap;
 use std::collections::BinaryHeap;
 
 /// Router parameters.
@@ -30,9 +30,12 @@ pub struct RouteConfig {
     pub hist_fac: f32,
     /// A* weight on the Manhattan-distance heuristic (1.0 = admissible).
     pub astar: f32,
-    /// Worker threads for speculative per-net routing (0 = global
-    /// [`pfdbg_util::par::threads`] policy). The result is bit-identical
-    /// to the serial router at every thread count.
+    /// Ignored: every net is routed serially. A speculative parallel
+    /// PathFinder once used this; on diffeq1 with 2 hardware threads it
+    /// took 1233 ms against 711 ms serial (6 of 2040 speculative routes
+    /// survived their commit check), so it was deleted. The field stays
+    /// only because the benchmark harness still sets it; drop it with
+    /// the next change to that harness.
     pub threads: usize,
 }
 
@@ -92,11 +95,26 @@ impl RoutedDesign {
     }
 }
 
-#[derive(PartialEq)]
+/// A search frontier entry: a min-heap on `(priority, node)`, packed
+/// into one integer `key` (priority bits high, node low) because
+/// non-negative `f32`s order like their bit patterns, and every priority
+/// is non-negative (`route` rejects cost factors that could break that).
 struct HeapItem {
-    priority: f32,
+    key: u64,
     cost: f32,
-    node: RRNode,
+}
+
+impl HeapItem {
+    fn new(priority: f32, cost: f32, node: RRNode) -> HeapItem {
+        debug_assert!(priority.is_sign_positive() && !priority.is_nan());
+        HeapItem { key: (u64::from(priority.to_bits()) << 32) | u64::from(node.0), cost }
+    }
+}
+
+impl PartialEq for HeapItem {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
 }
 
 impl Eq for HeapItem {}
@@ -109,28 +127,28 @@ impl PartialOrd for HeapItem {
 
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on priority via reversed compare; NaN-free by
-        // construction.
-        other
-            .priority
-            .partial_cmp(&self.priority)
-            .expect("finite costs")
-            .then_with(|| other.node.0.cmp(&self.node.0))
+        other.key.cmp(&self.key) // reversed: BinaryHeap is a max-heap
     }
 }
 
-/// Scratch arrays for one net-routing worker: A* state with epoch
-/// stamping plus the per-net touched-node tracker used to validate
-/// speculative routes.
+/// Scratch state reused by every connection search: A* arrays stamped
+/// with `cur_epoch` (one epoch per connection, so nothing is cleared
+/// between searches), a goal mark stamped the same way, a net mark
+/// stamped once per net, and the tree, goal, sink and heap buffers.
 struct NetScratch {
     cost_to: Vec<f32>,
     parent: Vec<RRNode>,
     epoch: Vec<u32>,
     cur_epoch: u32,
-    /// Stamped with `touch_stamp` the first time a node's congestion
-    /// state becomes visible to the current net's searches.
-    touched_mark: Vec<u32>,
-    touch_stamp: u32,
+    goal_mark: Vec<u32>,
+    /// `net_mark[i] == net_stamp` iff node `i` is already used by the
+    /// net being routed.
+    net_mark: Vec<u32>,
+    net_stamp: u32,
+    tree: Vec<RRNode>,
+    goals: Vec<RRNode>,
+    sinks: Vec<usize>,
+    heap: BinaryHeap<HeapItem>,
 }
 
 impl NetScratch {
@@ -140,23 +158,15 @@ impl NetScratch {
             parent: vec![RRNode(u32::MAX); n_nodes],
             epoch: vec![0; n_nodes],
             cur_epoch: 0,
-            touched_mark: vec![0; n_nodes],
-            touch_stamp: 0,
+            goal_mark: vec![0; n_nodes],
+            net_mark: vec![0; n_nodes],
+            net_stamp: 0,
+            tree: Vec::new(),
+            goals: Vec::new(),
+            sinks: Vec::new(),
+            heap: BinaryHeap::new(),
         }
     }
-}
-
-/// One net's routing attempt plus the evidence needed to commit it.
-struct NetAttempt {
-    route: NetRoute,
-    /// Union of RRG nodes the route occupies.
-    used: FxHashSet<RRNode>,
-    /// Every node whose congestion state the searches read (epoch-stamped
-    /// nodes): a speculative route is valid iff none of these is occupied
-    /// by an earlier net at commit time.
-    touched: Vec<RRNode>,
-    /// All sinks reached?
-    ok: bool,
 }
 
 fn base_cost(kind: RRKind) -> f32 {
@@ -167,11 +177,12 @@ fn base_cost(kind: RRKind) -> f32 {
     }
 }
 
-/// Route one net against the congestion state `occ`/`hist`, touching no
-/// shared state: occupancy updates are the caller's job (the serial
-/// commit). This is the exact per-net body of the classic serial
-/// PathFinder inner loop — heap ties break on node id, so the search is
-/// fully deterministic given (`occ`, `hist`, `pres_fac`).
+/// Route net `ni` against the congestion state: entering node `i` costs
+/// `hist_cost[i]` if the net already uses it, else `step_cost[i]`. The
+/// nodes the route occupies go to `used` (each once); updating the
+/// congestion state is the caller's job. Heap ties break on node id, so
+/// the search is fully deterministic given that state. Returns the
+/// route and whether every sink was reached.
 #[allow(clippy::too_many_arguments)]
 fn route_one_net(
     design: &PackedDesign,
@@ -179,116 +190,122 @@ fn route_one_net(
     rrg: &RRGraph,
     cfg: &RouteConfig,
     src_pins: &[RRNode],
-    is_opin: &[bool],
-    occ: &[u16],
-    hist: &[f32],
-    pres_fac: f32,
+    hist_cost: &[f32],
+    step_cost: &[f32],
     ni: usize,
+    used: &mut Vec<RRNode>,
     scratch: &mut NetScratch,
-) -> Result<NetAttempt, String> {
+) -> Result<(NetRoute, bool), String> {
+    let NetScratch {
+        cost_to,
+        parent,
+        epoch,
+        cur_epoch,
+        goal_mark,
+        net_mark,
+        net_stamp,
+        tree,
+        goals,
+        sinks,
+        heap,
+    } = scratch;
     let net = &design.nets[ni];
     let mut net_route = NetRoute {
         net: ni,
         branches: Vec::with_capacity(net.sources.len()),
         sink_pins: FxHashMap::default(),
     };
-    let mut net_used: FxHashSet<RRNode> = FxHashSet::default();
-    let mut touched: Vec<RRNode> = Vec::new();
-    scratch.touch_stamp += 1;
+    *net_stamp += 1;
+    let stamp = *net_stamp;
     let mut ok = true;
 
     for (alt, &src) in src_pins.iter().enumerate() {
         // The tree of this alternative starts at its opin.
-        let mut tree: FxHashSet<RRNode> = FxHashSet::default();
-        tree.insert(src);
-        net_used.insert(src);
+        tree.clear();
+        tree.push(src);
+        if net_mark[src.index()] != stamp {
+            net_mark[src.index()] = stamp;
+            used.push(src);
+        }
         let mut edges: Vec<(RRNode, RRNode)> = Vec::new();
 
         // Sinks, nearest first.
-        let mut sinks: Vec<usize> = net.sinks.clone();
+        sinks.clone_from(&net.sinks);
         let src_data = rrg.node(src);
         sinks.sort_by_key(|&b| {
             let l = placement.locs[b];
             (l.x as i32 - src_data.x as i32).abs() + (l.y as i32 - src_data.y as i32).abs()
         });
 
-        for &sink_block in &sinks {
+        for &sink_block in sinks.iter() {
             let loc = placement.locs[sink_block];
             let (sx, sy) = (loc.x as usize, loc.y as usize);
             // Goal pins: the already chosen pin for this sink, or
             // any input pin of the tile (pads use their sub pin).
-            let goals: Vec<RRNode> = if let Some(&p) = net_route.sink_pins.get(&sink_block) {
-                vec![p]
+            goals.clear();
+            if let Some(&p) = net_route.sink_pins.get(&sink_block) {
+                goals.push(p);
             } else {
                 match design.blocks[sink_block] {
                     crate::pack::Block::Clb(_) => {
-                        (0..rrg.n_ipins(sx, sy)).filter_map(|p| rrg.ipin(sx, sy, p)).collect()
+                        goals.extend((0..rrg.n_ipins(sx, sy)).filter_map(|p| rrg.ipin(sx, sy, p)))
                     }
-                    _ => rrg.ipin(sx, sy, loc.sub as usize).into_iter().collect(),
+                    _ => goals.extend(rrg.ipin(sx, sy, loc.sub as usize)),
                 }
-            };
+            }
             if goals.is_empty() {
                 return Err(format!("sink block {sink_block} has no input pins"));
             }
-            let goal_set: FxHashSet<RRNode> = goals.iter().copied().collect();
 
             // Dijkstra/A* from the whole current tree.
-            scratch.cur_epoch += 1;
-            let cur_epoch = scratch.cur_epoch;
-            let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
+            *cur_epoch += 1;
+            let cur = *cur_epoch;
+            for &g in goals.iter() {
+                goal_mark[g.index()] = cur;
+            }
+            // A* heuristic: `RRGraph::distance` to the first goal, with
+            // the goal's tile hoisted out of the search.
+            let goal = *rrg.node(goals[0]);
+            let h = |n: &RRNodeData| {
+                cfg.astar * (n.x.abs_diff(goal.x) as u32 + n.y.abs_diff(goal.y) as u32) as f32
+            };
+            heap.clear();
             for &t in tree.iter() {
-                scratch.cost_to[t.index()] = 0.0;
-                scratch.epoch[t.index()] = cur_epoch;
-                scratch.parent[t.index()] = t;
-                if scratch.touched_mark[t.index()] != scratch.touch_stamp {
-                    scratch.touched_mark[t.index()] = scratch.touch_stamp;
-                    touched.push(t);
-                }
-                let h = cfg.astar * rrg.distance(t, goals[0]) as f32;
-                heap.push(HeapItem { priority: h, cost: 0.0, node: t });
+                cost_to[t.index()] = 0.0;
+                epoch[t.index()] = cur;
+                parent[t.index()] = t;
+                heap.push(HeapItem::new(h(rrg.node(t)), 0.0, t));
             }
             let mut found: Option<RRNode> = None;
-            while let Some(HeapItem { cost, node, .. }) = heap.pop() {
-                if scratch.epoch[node.index()] == cur_epoch && cost > scratch.cost_to[node.index()]
-                {
+            while let Some(HeapItem { key, cost }) = heap.pop() {
+                let node = RRNode(key as u32);
+                if epoch[node.index()] == cur && cost > cost_to[node.index()] {
                     continue;
                 }
-                if goal_set.contains(&node) {
+                if goal_mark[node.index()] == cur {
                     found = Some(node);
                     break;
                 }
                 for (_, next) in rrg.out_edges(node) {
+                    let idx = next.index();
                     let nd = rrg.node(next);
                     // IPins other than goals are dead ends for
                     // this connection; skip cheaply.
-                    if matches!(nd.kind, RRKind::IPin(_)) && !goal_set.contains(&next) {
+                    if matches!(nd.kind, RRKind::IPin(_)) && goal_mark[idx] != cur {
                         continue;
                     }
                     if matches!(nd.kind, RRKind::OPin(_)) {
                         continue; // cannot route *through* an opin
                     }
-                    let idx = next.index();
-                    // This node's congestion state is now visible to the
-                    // search: record it for speculative validation.
-                    if scratch.touched_mark[idx] != scratch.touch_stamp {
-                        scratch.touched_mark[idx] = scratch.touch_stamp;
-                        touched.push(next);
-                    }
                     // Present congestion: the net's own nodes are
                     // free (sharing within the net).
-                    let over = if net_used.contains(&next) {
-                        0.0
-                    } else {
-                        let o = occ[idx] as f32 + 1.0 - 1.0; // cap = 1
-                        o.max(0.0)
-                    };
-                    let c = cost + base_cost(nd.kind) * (1.0 + hist[idx]) * (1.0 + pres_fac * over);
-                    if scratch.epoch[idx] != cur_epoch || c < scratch.cost_to[idx] {
-                        scratch.epoch[idx] = cur_epoch;
-                        scratch.cost_to[idx] = c;
-                        scratch.parent[idx] = node;
-                        let h = cfg.astar * rrg.distance(next, goals[0]) as f32;
-                        heap.push(HeapItem { priority: c + h, cost: c, node: next });
+                    let c =
+                        cost + if net_mark[idx] == stamp { hist_cost[idx] } else { step_cost[idx] };
+                    if epoch[idx] != cur || c < cost_to[idx] {
+                        epoch[idx] = cur;
+                        cost_to[idx] = c;
+                        parent[idx] = node;
+                        heap.push(HeapItem::new(c + h(nd), c, next));
                     }
                 }
             }
@@ -296,44 +313,33 @@ fn route_one_net(
                 ok = false;
                 continue;
             };
-            // Backtrace into the tree.
-            let mut cur = hit;
-            let mut path = vec![cur];
-            while scratch.parent[cur.index()] != cur {
-                cur = scratch.parent[cur.index()];
-                path.push(cur);
+            // Backtrace into the tree. Tree nodes are their own parents
+            // and never relaxed (every step costs > 0), so every node
+            // after the first is new to the tree.
+            let first = edges.len();
+            let mut node = hit;
+            while parent[node.index()] != node {
+                let from = parent[node.index()];
+                edges.push((from, node));
+                tree.push(node);
+                if net_mark[node.index()] != stamp {
+                    net_mark[node.index()] = stamp;
+                    used.push(node);
+                }
+                node = from;
             }
-            path.reverse();
-            for w in path.windows(2) {
-                edges.push((w[0], w[1]));
-            }
-            for &n in &path {
-                tree.insert(n);
-                net_used.insert(n);
-            }
+            edges[first..].reverse();
             net_route.sink_pins.insert(sink_block, hit);
         }
         net_route.branches.push(BranchRoute { alternative: alt, edges });
     }
-    let _ = is_opin; // occupancy handling lives in the commit
-    Ok(NetAttempt { route: net_route, used: net_used, touched, ok })
+    Ok((net_route, ok))
 }
 
 /// Route a placed design. Pin assignment: the driver uses the output pin
 /// of its BLE (or pad); each sink may use any input pin of its tile, the
-/// router picks one under congestion.
-///
-/// With `cfg.threads > 1` each negotiated-congestion round routes nets
-/// *speculatively* in parallel against the post-rip-up state (occupancy
-/// is all zeros after the rip-up), recording every node whose congestion
-/// each search read. Routes are then committed serially in the serial
-/// net order; a speculative route is accepted iff none of its touched
-/// nodes is occupied by an earlier-committed net — in that case the
-/// serial search would have seen the exact same costs (ties break on
-/// node id), so the route is identical by construction. Otherwise the
-/// net is re-routed serially against the current occupancy. The result
-/// is therefore bit-identical to the serial router at every thread
-/// count.
+/// router picks one under congestion. Nets are routed one after another
+/// in a fixed order, largest fanout first.
 pub fn route(
     design: &PackedDesign,
     placement: &Placement,
@@ -341,9 +347,14 @@ pub fn route(
     rrg: &RRGraph,
     cfg: &RouteConfig,
 ) -> Result<RoutedDesign, String> {
+    // Heap keys order priorities by their bit patterns, which holds only
+    // while every cost and heuristic term is non-negative.
+    let factors = [cfg.pres_fac, cfg.pres_mult, cfg.hist_fac, cfg.astar];
+    if !factors.iter().all(|f| f.is_finite() && f.is_sign_positive()) {
+        return Err(format!("router cost factors must be finite and non-negative: {factors:?}"));
+    }
     let n_nodes = rrg.n_nodes();
     let n_nets = design.nets.len();
-    let workers = pfdbg_util::par::resolve(cfg.threads);
 
     // Source opin per (net, alternative); sink tiles per net.
     let mut source_pins: Vec<Vec<RRNode>> = Vec::with_capacity(n_nets);
@@ -373,106 +384,58 @@ pub fn route(
     let mut occ = vec![0u16; n_nodes]; // nets using each node
     let mut hist = vec![0f32; n_nodes];
     let mut pres_fac = cfg.pres_fac;
+    // The PathFinder node cost `base × (1 + hist) × (1 + pres_fac × over)`
+    // with `over = occ` (capacity 1; a net's own nodes have `over = 0`),
+    // kept as its two products so a search reads one number per edge:
+    // `hist_cost = base × (1 + hist)` and `step_cost = hist_cost × (1 +
+    // pres_fac × occ)`. Both are updated wherever their inputs change.
+    let base = |idx: usize| base_cost(rrg.node(RRNode(idx as u32)).kind);
+    let mut hist_cost: Vec<f32> = (0..n_nodes).map(base).collect();
+    let mut step_cost = vec![0f32; n_nodes];
 
-    // Per-net union of used nodes.
-    let mut used: Vec<FxHashSet<RRNode>> = vec![FxHashSet::default(); n_nets];
+    // Per-net list of used nodes, each once.
+    let mut used: Vec<Vec<RRNode>> = vec![Vec::new(); n_nets];
     let mut routes: Vec<Option<NetRoute>> = (0..n_nets).map(|_| None).collect();
-
     let mut scratch = NetScratch::new(n_nodes);
-    // Occupancy snapshot for speculative routing: after the rip-up the
-    // live occupancy is identically zero, so a zero vector stands in.
-    let zero_occ = vec![0u16; n_nodes];
-    // Speculative-round scratch pool, reused across PathFinder
-    // iterations: each NetScratch is epoch-stamped, so a stale pool
-    // entry behaves identically to a fresh allocation.
-    let mut spec_pool: Vec<NetScratch> = Vec::new();
+
+    // Route nets, largest fanout first (harder nets earlier).
+    let mut order: Vec<usize> = (0..n_nets).collect();
+    order.sort_by_key(|&ni| {
+        std::cmp::Reverse(design.nets[ni].sinks.len() * design.nets[ni].sources.len())
+    });
 
     let mut converged = false;
     let mut iterations = 0;
     for iter in 0..cfg.max_iterations {
         iterations = iter + 1;
         // Rip up everything.
-        for set in &mut used {
-            for &n in set.iter() {
-                if !is_opin[n.index()] {
-                    occ[n.index()] -= 1;
-                }
-            }
-            set.clear();
-        }
-        routes.fill(None);
+        used.iter_mut().for_each(Vec::clear);
+        occ.fill(0);
+        step_cost.copy_from_slice(&hist_cost);
 
-        // Route nets, largest fanout first (harder nets earlier).
-        let mut order: Vec<usize> = (0..n_nets).collect();
-        order.sort_by_key(|&ni| {
-            std::cmp::Reverse(design.nets[ni].sinks.len() * design.nets[ni].sources.len())
-        });
-
-        // Speculative round: every net routed against the clean
-        // post-rip-up state, in parallel, with per-worker scratch.
-        let speculative: Vec<Option<Result<NetAttempt, String>>> = if workers > 1 && n_nets > 1 {
-            pfdbg_util::par::map_reuse_in(
-                workers,
-                &order,
-                &mut spec_pool,
-                || NetScratch::new(n_nodes),
-                |sc, &ni| {
-                    Some(route_one_net(
-                        design,
-                        placement,
-                        rrg,
-                        cfg,
-                        &source_pins[ni],
-                        &is_opin,
-                        &zero_occ,
-                        &hist,
-                        pres_fac,
-                        ni,
-                        sc,
-                    ))
-                },
-            )
-        } else {
-            (0..order.len()).map(|_| None).collect()
-        };
-
-        // Serial commit in net order: accept a speculative route only if
-        // no node its searches touched is already occupied.
         let mut all_ok = true;
-        for (spec, &ni) in speculative.into_iter().zip(order.iter()) {
-            let attempt = match spec {
-                Some(Ok(a)) if a.touched.iter().all(|&t| occ[t.index()] == 0) => {
-                    pfdbg_obs::counter_add("route.spec_commit", 1);
-                    a
-                }
-                Some(Err(e)) => return Err(e),
-                other => {
-                    if other.is_some() {
-                        pfdbg_obs::counter_add("route.spec_retry", 1);
-                    }
-                    route_one_net(
-                        design,
-                        placement,
-                        rrg,
-                        cfg,
-                        &source_pins[ni],
-                        &is_opin,
-                        &occ,
-                        &hist,
-                        pres_fac,
-                        ni,
-                        &mut scratch,
-                    )?
-                }
-            };
-            for &n in &attempt.used {
-                if !is_opin[n.index()] {
-                    occ[n.index()] += 1;
+        for &ni in &order {
+            let (net_route, ok) = route_one_net(
+                design,
+                placement,
+                rrg,
+                cfg,
+                &source_pins[ni],
+                &hist_cost,
+                &step_cost,
+                ni,
+                &mut used[ni],
+                &mut scratch,
+            )?;
+            for &n in &used[ni] {
+                let i = n.index();
+                if !is_opin[i] {
+                    occ[i] += 1;
+                    step_cost[i] = hist_cost[i] * (1.0 + pres_fac * occ[i] as f32);
                 }
             }
-            all_ok &= attempt.ok;
-            used[ni] = attempt.used;
-            routes[ni] = Some(attempt.route);
+            all_ok &= ok;
+            routes[ni] = Some(net_route);
         }
 
         // Check for overuse.
@@ -481,6 +444,7 @@ pub fn route(
             if occ[idx] > 1 {
                 overused += 1;
                 hist[idx] += cfg.hist_fac * (occ[idx] - 1) as f32;
+                hist_cost[idx] = base(idx) * (1.0 + hist[idx]);
             }
         }
         // Per-iteration congestion telemetry: total overflow events
@@ -516,6 +480,7 @@ mod tests {
     use crate::pack::{Block, PRNet, PackedDesign, SourceRef};
     use crate::place::{place, PlaceConfig};
     use pfdbg_arch::{build_rrg, ArchSpec, Device};
+    use pfdbg_util::FxHashSet;
 
     fn route_design(design: &PackedDesign, clb_side: usize) -> (RoutedDesign, Device) {
         let dev =
@@ -646,47 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_routing_is_bit_identical_to_serial() {
-        // The congested all-to-all design: plenty of speculative
-        // conflicts, so both the commit and the serial-retry paths run.
-        let mut nets = Vec::new();
-        for i in 0..8usize {
-            nets.push(PRNet {
-                name: format!("n{i}"),
-                sources: vec![SourceRef { block: i, ble: 0 }],
-                source_nodes: vec![],
-                driver: pfdbg_netlist::NodeId(0),
-                sinks: vec![(i + 3) % 8, (i + 5) % 8],
-                tunable: false,
-            });
-        }
-        let d = simple_design(8, nets);
-        let dev = Device::new(ArchSpec { channel_width: 10, ..Default::default() }, 3, 3);
-        let rrg = build_rrg(&dev);
-        let placement = place(&d, &dev, &PlaceConfig::default()).unwrap();
-        let serial =
-            route(&d, &placement, &dev, &rrg, &RouteConfig { threads: 1, ..Default::default() })
-                .unwrap();
-        for threads in [2usize, 8] {
-            let par =
-                route(&d, &placement, &dev, &rrg, &RouteConfig { threads, ..Default::default() })
-                    .unwrap();
-            assert_eq!(par.iterations, serial.iterations, "threads={threads}");
-            assert_eq!(par.wires_used, serial.wires_used, "threads={threads}");
-            assert_eq!(par.success, serial.success);
-            for (a, b) in par.routes.iter().zip(serial.routes.iter()) {
-                assert_eq!(a.net, b.net);
-                assert_eq!(a.sink_pins, b.sink_pins, "threads={threads} net={}", a.net);
-                assert_eq!(a.branches.len(), b.branches.len());
-                for (ba, bb) in a.branches.iter().zip(b.branches.iter()) {
-                    assert_eq!(ba.alternative, bb.alternative);
-                    assert_eq!(ba.edges, bb.edges, "threads={threads} net={}", a.net);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn unroutable_design_reports_failure() {
         // Zero-ish channel width via a device so tiny that many nets
         // can't fit: 1x1 CLB grid, channel width 2, with 2 pads fighting.
@@ -716,5 +640,20 @@ mod tests {
         let cfg = RouteConfig { max_iterations: 6, ..Default::default() };
         let r = route(&d, &placement, &dev, &rrg, &cfg).unwrap();
         assert!(!r.success, "expected failure on starved device");
+    }
+
+    #[test]
+    fn negative_cost_factors_are_rejected() {
+        let d = simple_design(2, vec![]);
+        let dev = Device::new(ArchSpec::default(), 3, 3);
+        let rrg = build_rrg(&dev);
+        let placement = place(&d, &dev, &PlaceConfig::default()).unwrap();
+        for cfg in [
+            RouteConfig { astar: -1.0, ..Default::default() },
+            RouteConfig { hist_fac: -0.0, ..Default::default() },
+            RouteConfig { pres_fac: f32::NAN, ..Default::default() },
+        ] {
+            assert!(route(&d, &placement, &dev, &rrg, &cfg).is_err(), "{cfg:?}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! `pfdbg-par`: a zero-dependency data-parallel layer over
 //! [`std::thread::scope`].
 //!
-//! The offline flow (cut enumeration, cone matching, routing, BDD
+//! The offline flow (cut enumeration, cone matching, BDD
 //! construction) and the online SCG evaluation loop are all shaped the
 //! same way: a list of independent work items whose results must be
 //! recombined *in item order* so the output is bit-identical to the
@@ -13,8 +13,7 @@
 //!   self-scheduling, i.e. idle workers steal the next chunk), and the
 //!   per-chunk results are stitched back together by chunk index, so
 //!   the output order never depends on thread scheduling.
-//! * [`map_init_in`] — the same, with a per-worker scratch state
-//!   (e.g. a router's search arrays or a shard-local `BddManager`).
+//! * [`map_init_in`] — the same, with a per-worker scratch state.
 //! * [`threads`] / [`set_threads`] / [`resolve`] — thread-count policy:
 //!   an explicit programmatic override beats the `PFDBG_THREADS`
 //!   environment variable, which beats [`std::thread::available_parallelism`].
@@ -247,84 +246,6 @@ where
     out
 }
 
-/// One pooled worker's yield: its ordered chunk buckets plus the
-/// scratch state handed back to the pool.
-type PooledWorkerOut<U, S> = (Vec<(usize, Vec<U>)>, S);
-
-/// Like [`map_init_in`], but the per-worker scratch states live in a
-/// caller-held `pool` and survive across calls: states are taken from
-/// the pool (topped up with `mk` when short) and returned to it before
-/// this function returns. Repeated maps — e.g. the router's
-/// speculative rounds, one per PathFinder iteration — thus reuse their
-/// search arrays instead of reallocating them every round. Results are
-/// in item order; which pool entry served which item is not specified,
-/// so states must be *scratch* (every call fully re-initializes what
-/// it reads — e.g. epoch-stamped arrays), or results would depend on
-/// scheduling.
-pub fn map_reuse_in<T, U, S, I, F>(
-    workers: usize,
-    items: &[T],
-    pool: &mut Vec<S>,
-    mk: I,
-    f: F,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> U + Sync,
-{
-    let workers = resolve(workers).min(items.len()).max(1);
-    if workers == 1 || items.len() <= 1 {
-        let mut state = pool.pop().unwrap_or_else(&mk);
-        let out = items.iter().map(|item| f(&mut state, item)).collect();
-        pool.push(state);
-        return out;
-    }
-    while pool.len() < workers {
-        pool.push(mk());
-    }
-    let states: Vec<S> = pool.drain(pool.len() - workers..).collect();
-    let chunk = chunk_size(items.len(), workers);
-    let n_chunks = items.len().div_ceil(chunk);
-    let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<PooledWorkerOut<U, S>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = states
-            .into_iter()
-            .map(|mut state| {
-                let cursor = &cursor;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut mine: Vec<(usize, Vec<U>)> = Vec::new();
-                    loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let lo = c * chunk;
-                        let hi = (lo + chunk).min(items.len());
-                        mine.push((c, items[lo..hi].iter().map(|it| f(&mut state, it)).collect()));
-                    }
-                    (mine, state)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("pfdbg-par worker panicked")).collect()
-    });
-    let mut buckets: Vec<(usize, Vec<U>)> = Vec::new();
-    for (mine, state) in per_worker {
-        buckets.extend(mine);
-        pool.push(state);
-    }
-    buckets.sort_unstable_by_key(|&(c, _)| c);
-    let mut out = Vec::with_capacity(items.len());
-    for (_, mut b) in buckets {
-        out.append(&mut b);
-    }
-    out
-}
-
 /// Run one closure per shard of `0..len` (shards from
 /// [`shard_ranges`]), in parallel, returning the per-shard results in
 /// shard order. The shard structure is thread-count independent, so
@@ -423,31 +344,6 @@ mod tests {
             }
             assert_eq!(covered, len);
         }
-    }
-
-    #[test]
-    fn reuse_pool_preserves_order_and_returns_states() {
-        let items: Vec<u64> = (0..777).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
-        let mut pool: Vec<Vec<u8>> = Vec::new();
-        for workers in [1, 2, 8] {
-            let before = pool.len();
-            let got = map_reuse_in(workers, &items, &mut pool, Vec::new, |_sc, &x| x * 3);
-            assert_eq!(got, expect, "workers={workers}");
-            assert!(pool.len() >= before.max(1), "workers={workers}");
-        }
-        // Second run at the high worker count must not grow the pool.
-        let before = pool.len();
-        let _ = map_reuse_in(8, &items, &mut pool, Vec::new, |_sc, &x| x * 3);
-        assert_eq!(pool.len(), before);
-    }
-
-    #[test]
-    fn reuse_pool_handles_empty_items() {
-        let mut pool: Vec<u32> = vec![5];
-        let got = map_reuse_in(4, &[] as &[u32], &mut pool, || 0, |_s, &x| x);
-        assert_eq!(got, Vec::<u32>::new());
-        assert_eq!(pool.len(), 1);
     }
 
     #[test]

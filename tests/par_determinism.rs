@@ -1,6 +1,6 @@
 //! Determinism of the pfdbg-par thread-pool layer: across random
-//! netlists, the parallel offline flow (cut enumeration, speculative
-//! routing, sharded BDD construction) and the sharded SCG
+//! netlists, the parallel offline flow (cut enumeration, sharded BDD
+//! construction; placement and routing are serial) and the sharded SCG
 //! specialization must be **byte-identical** to the serial flow at
 //! every thread count.
 
