@@ -110,8 +110,9 @@ echo "$METRICS" | grep -qF '\"busy\":false' || { echo "metrics verb lacks per-se
     | grep -q '^SESSION' || { echo "pfdbg top rendered no session table"; exit 1; }
 ./target/debug/pfdbg client "127.0.0.1:$PORT" --shutdown >/dev/null
 wait "$SERVE_PID"
-cp "$SMOKE_DIR/BENCH_serve.json" BENCH_serve.json
-echo "serve smoke ok: $(cat BENCH_serve.json)"
+# The smoke report stays in $SMOKE_DIR: the committed BENCH_serve.json
+# is a release-build measurement and a debug smoke run must not replace it.
+echo "serve smoke ok: $(cat "$SMOKE_DIR/BENCH_serve.json")"
 
 echo "== sharded fleet smoke (512 sessions) =="
 # A scaled-down fleet soak against an in-process server: 512 sessions

@@ -48,12 +48,13 @@ impl std::error::Error for BitfileError {}
 
 const MAGIC: &[u8; 4] = b"PFB1";
 
-/// CRC-32 (IEEE 802.3, reflected), table-free bitwise implementation —
-/// this runs once per file, not per frame.
-pub fn crc32(data: &[u8]) -> u32 {
+/// CRC-32 (IEEE 802.3, reflected), table-free bitwise implementation,
+/// over any byte sequence (a slice, or bytes generated on the fly so a
+/// per-frame check needs no staging buffer).
+pub fn crc32<B: std::borrow::Borrow<u8>>(data: impl IntoIterator<Item = B>) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= byte as u32;
+    for byte in data {
+        crc ^= *byte.borrow() as u32;
         for _ in 0..8 {
             let mask = (crc & 1).wrapping_neg();
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);

@@ -27,7 +27,7 @@ pub use baseline::{compare_mappers, MapperComparison};
 pub use baseline::{initial_mapping, prepare_instrumented};
 pub use flow::{offline, tcon_condition, MapStats, OfflineConfig, OfflineResult};
 pub use localize::{localize, LocalizationResult};
-pub use online::{DebugSession, SelectionPlan, TurnRecord};
+pub use online::{plan_selection, DebugSession, SelectionPlan, TurnRecord};
 pub use param::{
     instrument, observable_signals, InstrumentConfig, Instrumented, PortInfo, PAPER_K,
 };

@@ -42,6 +42,41 @@ pub struct SelectionPlan {
     pub params: BitVec,
 }
 
+/// Map a signal selection onto trace ports, starting from the parameter
+/// assignment `current`: each signal claims one free port able to
+/// observe it, and ports no signal claims keep their previous
+/// selection. Fails when a signal has no free port this turn, or when a
+/// port's select parameter is missing from the annotations.
+pub fn plan_selection<S: AsRef<str>>(
+    inst: &Instrumented,
+    current: &BitVec,
+    signals: &[S],
+) -> Result<SelectionPlan, String> {
+    let mut used_ports = vec![false; inst.ports.len()];
+    let mut assignments = Vec::with_capacity(signals.len());
+    let mut params = current.clone();
+    for sig in signals {
+        let sig = sig.as_ref();
+        let found = (inst.ports.iter().enumerate())
+            .filter(|&(p, _)| !used_ports[p])
+            .find_map(|(p, port)| port.select_for(sig).map(|v| (p, v)));
+        let (p, v) =
+            found.ok_or_else(|| format!("no free trace port can observe {sig} this turn"))?;
+        used_ports[p] = true;
+        for (bit, name) in inst.ports[p].sel_params.iter().enumerate() {
+            let idx = inst
+                .annotations
+                .params
+                .iter()
+                .position(|q| q == name)
+                .ok_or_else(|| format!("select parameter {name} not annotated"))?;
+            params.set(idx, (v >> bit) & 1 == 1);
+        }
+        assignments.push((p, v, sig.to_string()));
+    }
+    Ok(SelectionPlan { assignments, params })
+}
+
 /// A multi-turn debugging session over an instrumented design.
 pub struct DebugSession {
     inst: Instrumented,
@@ -118,40 +153,9 @@ impl DebugSession {
         Ok(stats)
     }
 
-    /// Plan a selection: map each requested signal to a free port and
-    /// compute the parameter assignment. Fails if a signal is not
-    /// observable or more signals are requested than ports exist (that
-    /// would need *another turn*, which is exactly the paper's point —
-    /// turns are cheap).
+    /// [`plan_selection`] against the session's current parameters.
     pub fn plan(&self, signals: &[&str]) -> Result<SelectionPlan, String> {
-        let mut used_ports = vec![false; self.inst.ports.len()];
-        let mut assignments = Vec::with_capacity(signals.len());
-        let mut params = self.params.clone();
-        for &sig in signals {
-            // Find a free port able to observe this signal.
-            let found = self.inst.ports.iter().enumerate().find_map(|(p, port)| {
-                if used_ports[p] {
-                    return None;
-                }
-                port.select_for(sig).map(|v| (p, v))
-            });
-            let (p, v) =
-                found.ok_or_else(|| format!("no free trace port can observe {sig} this turn"))?;
-            used_ports[p] = true;
-            // Write the select value into the parameter bits.
-            for (bit, name) in self.inst.ports[p].sel_params.iter().enumerate() {
-                let idx = self
-                    .inst
-                    .annotations
-                    .params
-                    .iter()
-                    .position(|q| q == name)
-                    .expect("annotated parameter");
-                params.set(idx, (v >> bit) & 1 == 1);
-            }
-            assignments.push((p, v, sig.to_string()));
-        }
-        Ok(SelectionPlan { assignments, params })
+        plan_selection(&self.inst, &self.params, signals)
     }
 
     /// Execute one debugging turn: specialize for the selection, emulate

@@ -154,8 +154,7 @@ pub fn frame_words(bs: &Bitstream, frame_bits: usize, frame: usize) -> Vec<u64> 
 /// CRC-32 of a frame's packed words — the per-frame integrity check
 /// appended to every write and recomputed over the readback.
 pub fn frame_crc(words: &[u64]) -> u32 {
-    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    bitfile::crc32(&bytes)
+    bitfile::crc32(words.iter().flat_map(|w| w.to_le_bytes()))
 }
 
 /// The reliable in-memory configuration port: every write lands, every
@@ -400,6 +399,14 @@ pub(crate) fn write_frame_verified(
     false
 }
 
+thread_local! {
+    /// The frame-word buffers and escalation set every commit on this
+    /// thread reuses, so a commit — escalations and rollbacks included —
+    /// allocates nothing once they reach their working size.
+    /// `commit_frames` never re-enters itself: the borrow is uncontended.
+    static COMMIT_BUF: std::cell::RefCell<(FrameBuf, Vec<usize>)> = std::cell::RefCell::default();
+}
+
 /// Transactionally push `target` through the port.
 ///
 /// Escalation ladder, each level with a fresh per-frame retry budget:
@@ -412,9 +419,10 @@ pub(crate) fn write_frame_verified(
 ///
 /// `Ok` means every frame of the final write set verified against its
 /// CRC and readback; the caller may commit its view of the device.
-/// `Err` carries the stats spent plus a message; the device may hold
-/// arbitrary content in the attempted frames and the caller must roll
-/// back and force a resync on the next turn.
+/// `Err` carries the stats spent plus the number of frames that still
+/// failed under full reconfiguration; the device may hold arbitrary
+/// content in the attempted frames and the caller must roll back and
+/// force a resync on the next turn.
 pub fn commit_frames(
     channel: &mut dyn IcapChannel,
     icap: &IcapModel,
@@ -422,74 +430,66 @@ pub fn commit_frames(
     changed_frames: &[usize],
     region_frames: &[usize],
     policy: &CommitPolicy,
-) -> Result<CommitStats, (CommitStats, String)> {
+) -> Result<CommitStats, (CommitStats, usize)> {
     let mut stats = CommitStats::default();
     if changed_frames.is_empty() {
         return Ok(stats);
     }
-    // Escalation sets materialize lazily: the clean level-0 commit (the
-    // overwhelmingly common case) allocates no frame lists at all.
-    let mut escalation_set: Vec<usize> = Vec::new();
-    let mut backoff = Backoff::new(policy, 0);
-    let mut buf = FrameBuf::default();
-    let mut last_failed = 0usize;
-    for level in 0..3usize {
-        let set: &[usize] = match level {
-            0 => changed_frames,
-            1 => {
-                escalation_set = changed_frames.iter().chain(region_frames).copied().collect();
-                escalation_set.sort_unstable();
-                escalation_set.dedup();
-                &escalation_set
+    COMMIT_BUF.with_borrow_mut(|(buf, escalation_set)| {
+        let mut backoff = Backoff::new(policy, 0);
+        let mut last_failed = 0usize;
+        for level in 0..3usize {
+            let set: &[usize] = match level {
+                0 => changed_frames,
+                1 => {
+                    escalation_set.clear();
+                    escalation_set.extend(changed_frames.iter().chain(region_frames));
+                    escalation_set.sort_unstable();
+                    escalation_set.dedup();
+                    escalation_set
+                }
+                _ => {
+                    escalation_set.clear();
+                    escalation_set.extend(0..channel.n_frames());
+                    escalation_set
+                }
+            };
+            if level > 0 {
+                stats.degradations += 1;
+                DEGRADATIONS.add(1);
+                if level == 1 {
+                    ESCALATIONS_REGION.add(1)
+                } else {
+                    ESCALATIONS_FULL.add(1)
+                }
             }
-            _ => {
-                escalation_set.clear();
-                escalation_set.extend(0..channel.n_frames());
-                &escalation_set
+            stats.transfer_time += icap.command_overhead;
+            let mut ok = true;
+            last_failed = 0;
+            for &frame in set {
+                if !write_frame_verified(
+                    channel,
+                    icap,
+                    target,
+                    frame,
+                    policy,
+                    &mut backoff,
+                    &mut stats,
+                    buf,
+                ) {
+                    ok = false;
+                    last_failed += 1;
+                }
             }
-        };
-        if level > 0 {
-            stats.degradations += 1;
-            DEGRADATIONS.add(1);
-            if level == 1 {
-                ESCALATIONS_REGION.add(1)
-            } else {
-                ESCALATIONS_FULL.add(1)
+            if ok {
+                RETRIES.add(stats.retries as u64);
+                COMMIT_MODELED_US
+                    .record_us((stats.transfer_time + stats.verify_time).as_secs_f64() * 1e6);
+                return Ok(stats);
             }
         }
-        stats.transfer_time += icap.command_overhead;
-        let mut ok = true;
-        last_failed = 0;
-        for &frame in set {
-            if !write_frame_verified(
-                channel,
-                icap,
-                target,
-                frame,
-                policy,
-                &mut backoff,
-                &mut stats,
-                &mut buf,
-            ) {
-                ok = false;
-                last_failed += 1;
-            }
-        }
-        if ok {
-            RETRIES.add(stats.retries as u64);
-            COMMIT_MODELED_US
-                .record_us((stats.transfer_time + stats.verify_time).as_secs_f64() * 1e6);
-            return Ok(stats);
-        }
-    }
-    Err((
-        stats,
-        format!(
-            "{last_failed} frame(s) failed verification even under full reconfiguration \
-             ({} write attempts, {} retries)",
-            stats.writes_attempted, stats.retries
-        ),
-    ))
+        Err((stats, last_failed))
+    })
 }
 
 #[cfg(test)]
@@ -687,8 +687,8 @@ mod tests {
         };
         let target = stream(256, &[3]);
         let err = commit_frames(&mut ch, &icap, &target, &[0], &[0], &Default::default());
-        let (stats, msg) = err.expect_err("a dead port cannot commit");
+        let (stats, failed) = err.expect_err("a dead port cannot commit");
         assert_eq!(stats.degradations, 2, "both escalation levels were attempted");
-        assert!(msg.contains("full reconfiguration"), "{msg}");
+        assert_eq!(failed, 2, "every frame of the full reconfiguration failed");
     }
 }

@@ -9,12 +9,13 @@
 //! three orders of magnitude faster than the 176 ms full reconfiguration
 //! — `specialize_timed` measures our evaluation for the benchmark
 //! harness, and [`OnlineReconfigurator::apply`] adds the modeled
-//! transfer.
+//! transfer by running one [`crate::turn`] step.
 
 use crate::bdd::BddManager;
 use crate::genbits::GeneralizedBitstream;
-use crate::icap::{commit_frames, CommitPolicy, IcapChannel, MemoryIcap};
+use crate::icap::{CommitPolicy, IcapChannel, MemoryIcap};
 use crate::scrub::ScrubReport;
+use crate::turn::{region_frames, TurnEnv, TurnError, TurnState};
 use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
 use pfdbg_util::{par, BitVec};
 use std::time::{Duration, Instant};
@@ -37,7 +38,7 @@ static EVAL_TUNER: par::ChunkTuner = par::ChunkTuner::new();
 /// Holds the node-value cache of the last sweep, the packed tunable
 /// values of the current and previous turn, and the diff buffer — so a
 /// steady-state turn allocates nothing. A scratch belongs to exactly
-/// one session (one [`OnlineReconfigurator`], or one serve session):
+/// one session (one [`crate::turn::TurnState`]):
 /// its `prev_packed`/`prev_params` baseline mirrors that session's
 /// committed state and must never be shared across sessions
 /// (see DESIGN.md §12).
@@ -76,11 +77,43 @@ impl SpecializeScratch {
         }
     }
 
-    /// Drop the committed baseline, forcing the next diff to re-derive
-    /// it (used when the session's state is replaced wholesale, e.g. a
-    /// journal restore).
-    pub fn invalidate(&mut self) {
-        self.prev_params = None;
+    /// Install the baseline of a session whose loaded configuration is
+    /// `bits`, specialized for `params`: the tunable values are read
+    /// straight out of the bitstream, so no sweep runs.
+    pub(crate) fn seed(&mut self, scg: &Scg, bits: &Bitstream, params: &BitVec) {
+        let tunable = &scg.gbs.tunable;
+        self.prev_packed.reset_zeroed(tunable.len());
+        for (i, &(addr, _)) in tunable.iter().enumerate() {
+            if bits.get(addr) {
+                self.prev_packed.set(i, true);
+            }
+        }
+        self.prev_params = Some(params.clone());
+    }
+
+    /// The packed tunable values of the committed baseline — after a
+    /// successful turn, the values the turn just loaded.
+    pub(crate) fn committed_packed(&self) -> &BitVec {
+        &self.prev_packed
+    }
+
+    /// The DPR write set of the evaluation in flight against the
+    /// committed baseline, `(bit address, new value)` ascending by
+    /// address: one XOR per 64 tunables, decoded in tunable (= address)
+    /// order. Tail words beyond the tunable count are zero in both.
+    pub(crate) fn changes<'a>(&'a self, scg: &'a Scg) -> impl Iterator<Item = (usize, bool)> + 'a {
+        let words = self.packed.words().iter().zip(self.prev_packed.words());
+        words.enumerate().flat_map(move |(wi, (&new, &old))| {
+            let mut x = new ^ old;
+            std::iter::from_fn(move || {
+                if x == 0 {
+                    return None;
+                }
+                let bit = x.trailing_zeros() as usize;
+                x &= x - 1;
+                Some((scg.gbs.tunable[wi * 64 + bit].0, (new >> bit) & 1 == 1))
+            })
+        })
     }
 }
 
@@ -135,49 +168,37 @@ impl Scg {
         &self.manager
     }
 
-    /// Evaluate the tunable functions at `indices` (indices into
-    /// `gbs.tunable`) under `params`, returning `(addr, value)` pairs in
-    /// index order. Shards of [`EVAL_SHARD`] functions fan out over the
-    /// thread pool; the shard structure depends only on the index count,
-    /// so the output is identical at every thread count.
-    fn eval_tunables(&self, indices: &[u32], params: &BitVec) -> Vec<(usize, bool)> {
-        let eval_one = |&i: &u32| {
-            let (addr, f) = self.gbs.tunable[i as usize];
+    /// Evaluate `count` tunable functions under `params` — the `k`-th
+    /// is `gbs.tunable[index(k)]` — returning `(addr, value)` pairs in
+    /// `k` order. Shards of [`EVAL_SHARD`] functions fan out over the
+    /// thread pool; the shard structure depends only on `count`, so the
+    /// output is identical at every thread count.
+    fn eval_tunables(
+        &self,
+        count: usize,
+        index: impl Fn(usize) -> usize + Sync,
+        params: &BitVec,
+    ) -> Vec<(usize, bool)> {
+        let eval_one = |k: usize| {
+            let (addr, f) = self.gbs.tunable[index(k)];
             (addr, self.manager.eval(f, params))
         };
         let workers = par::resolve(self.threads);
-        if workers <= 1 || indices.len() < 2 * EVAL_SHARD {
-            return indices.iter().map(eval_one).collect();
+        if workers <= 1 || count < 2 * EVAL_SHARD {
+            return (0..count).map(eval_one).collect();
         }
-        par::map_shards_tuned(workers, indices.len(), EVAL_SHARD, &EVAL_TUNER, |r| {
-            indices[r].iter().map(eval_one).collect::<Vec<_>>()
+        par::map_shards_tuned(workers, count, EVAL_SHARD, &EVAL_TUNER, |r| {
+            r.map(eval_one).collect::<Vec<_>>()
         })
         .into_iter()
         .flatten()
         .collect()
     }
 
-    /// Evaluate **all** tunable functions under `params` in tunable-list
-    /// order, without materializing an index vector — shards over the
-    /// index range directly (same shard structure as
-    /// [`Scg::eval_tunables`] on the full list, so the output is
-    /// identical at every thread count).
+    /// Evaluate every tunable function under `params`, in tunable-list
+    /// order.
     fn eval_all_tunables(&self, params: &BitVec) -> Vec<(usize, bool)> {
-        let n = self.gbs.tunable.len();
-        let eval_one = |i: usize| {
-            let (addr, f) = self.gbs.tunable[i];
-            (addr, self.manager.eval(f, params))
-        };
-        let workers = par::resolve(self.threads);
-        if workers <= 1 || n < 2 * EVAL_SHARD {
-            return (0..n).map(eval_one).collect();
-        }
-        par::map_shards_tuned(workers, n, EVAL_SHARD, &EVAL_TUNER, |r| {
-            r.map(eval_one).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        self.eval_tunables(self.gbs.tunable.len(), |k| k, params)
     }
 
     /// Memoized batch evaluation of every tunable function under
@@ -216,6 +237,25 @@ impl Scg {
         params: &BitVec,
         scratch: &'s mut SpecializeScratch,
     ) -> Result<&'s [(usize, bool)], String> {
+        self.fill_packed(prev_params, params, None, scratch)?;
+        let mut diffs = std::mem::take(&mut scratch.diffs);
+        diffs.clear();
+        diffs.extend(scratch.changes(self));
+        scratch.diffs = diffs;
+        Ok(&scratch.diffs)
+    }
+
+    /// Evaluate `params` into the scratch, or copy `cached` (its packed
+    /// values from an earlier evaluation) instead of sweeping, after
+    /// re-deriving the baseline if it does not describe `prev_params`.
+    /// [`SpecializeScratch::changes`] then yields the diff.
+    pub(crate) fn fill_packed(
+        &self,
+        prev_params: &BitVec,
+        params: &BitVec,
+        cached: Option<&BitVec>,
+        scratch: &mut SpecializeScratch,
+    ) -> Result<(), String> {
         self.check_params(prev_params)?;
         self.check_params(params)?;
         if scratch.prev_params.as_ref() != Some(prev_params) {
@@ -227,54 +267,17 @@ impl Scg {
                 None => scratch.prev_params = Some(prev_params.clone()),
             }
         }
-        self.eval_packed(params, &mut scratch.node_vals, &mut scratch.packed);
-        if pfdbg_obs::enabled() {
-            pfdbg_obs::counter_add("scg.batch_evals", 1);
-            pfdbg_obs::counter_add("scg.nodes_swept", self.manager.n_nodes() as u64);
-        }
-        scratch.diffs.clear();
-        // Word-level diff: XOR packs 64 tunable-bit compares into one op;
-        // ascending tunable index means ascending bit address (the
-        // tunable list is sorted), so the write-set contract holds with
-        // no sort. Tail words beyond the tunable count are zero in both.
-        for (wi, (&a, &b)) in
-            scratch.packed.words().iter().zip(scratch.prev_packed.words()).enumerate()
-        {
-            let mut x = a ^ b;
-            while x != 0 {
-                let bit = x.trailing_zeros() as usize;
-                x &= x - 1;
-                let (addr, _) = self.gbs.tunable[wi * 64 + bit];
-                scratch.diffs.push((addr, (a >> bit) & 1 == 1));
+        match cached {
+            Some(packed) => scratch.packed.clone_from(packed),
+            None => {
+                self.eval_packed(params, &mut scratch.node_vals, &mut scratch.packed);
+                if pfdbg_obs::enabled() {
+                    pfdbg_obs::counter_add("scg.batch_evals", 1);
+                    pfdbg_obs::counter_add("scg.nodes_swept", self.manager.n_nodes() as u64);
+                }
             }
         }
-        Ok(&scratch.diffs)
-    }
-
-    /// Batch-evaluator counterpart of [`Scg::specialize_from`]: produce
-    /// the full specialization of `params` starting from any previously
-    /// specialized bitstream, with one memoized sweep instead of a walk
-    /// per function. Bit-identical to [`Scg::specialize`].
-    pub fn specialize_from_batch(
-        &self,
-        prev_bits: &Bitstream,
-        params: &BitVec,
-        scratch: &mut SpecializeScratch,
-    ) -> Result<Bitstream, String> {
-        self.check_params(params)?;
-        if prev_bits.len() != self.gbs.base.len() {
-            return Err(format!(
-                "bitstream size mismatch: got {}, layout has {}",
-                prev_bits.len(),
-                self.gbs.base.len()
-            ));
-        }
-        self.eval_packed(params, &mut scratch.node_vals, &mut scratch.packed);
-        let mut out = prev_bits.clone();
-        for (i, &(addr, _)) in self.gbs.tunable.iter().enumerate() {
-            out.set(addr, scratch.packed.get(i));
-        }
-        Ok(out)
+        Ok(())
     }
 
     fn check_params(&self, params: &BitVec) -> Result<(), String> {
@@ -312,7 +315,7 @@ impl Scg {
     /// budget is [`SpecializeTiming::eval`] — writing tunable values
     /// into an already-allocated configuration — and excludes the base
     /// clone (an artifact of this API returning an owned bitstream; the
-    /// online turn path reuses its staging buffer instead).
+    /// online turn stages its diff into the loaded bitstream in place).
     pub fn specialize_timed(&self, params: &BitVec) -> (Bitstream, SpecializeTiming) {
         let t0 = Instant::now();
         let mut out = self.gbs.base.clone();
@@ -403,16 +406,17 @@ impl Scg {
         }
         let mut out = prev_bits.clone();
         let affected = self.affected_tunables(prev_params, params);
-        for (addr, v) in self.eval_tunables(&affected, params) {
+        for (addr, v) in self.eval_tunables(affected.len(), |k| affected[k] as usize, params) {
             out.set(addr, v);
         }
         Ok(out)
     }
 
     /// Incremental [`Scg::try_specialize_diff`]: `current` must be the
-    /// specialization of `prev_params` (as maintained by
-    /// [`OnlineReconfigurator`]), so only functions affected by the
-    /// parameter change need re-evaluation to find the DPR write set.
+    /// specialization of `prev_params`, so only functions whose support
+    /// intersects the changed parameters need re-evaluation to find the
+    /// DPR write set — the per-function oracle the batch diff is
+    /// checked against.
     pub fn specialize_diff_from(
         &self,
         prev_params: &BitVec,
@@ -430,7 +434,7 @@ impl Scg {
             );
         }
         let mut changes: Vec<(usize, bool)> = self
-            .eval_tunables(&affected, params)
+            .eval_tunables(affected.len(), |k| affected[k] as usize, params)
             .into_iter()
             .filter(|&(addr, v)| current.get(addr) != v)
             .collect();
@@ -499,9 +503,10 @@ fn record_turn(stats: &TurnStats, frame_bits: usize) {
 }
 
 /// The online side: tracks the currently loaded configuration and applies
-/// specializations transactionally through an [`IcapChannel`].
+/// specializations transactionally through an [`IcapChannel`], one
+/// [`TurnState::step`] per turn.
 ///
-/// Turns are atomic: `current`/`last_params` advance only after every
+/// Turns are atomic: `current`/`params` advance only after every
 /// written frame passed readback-verify through the channel. If the
 /// commit exhausts its retry and escalation budget, the turn rolls back
 /// — the session state is unchanged — and the next turn starts with a
@@ -511,27 +516,12 @@ pub struct OnlineReconfigurator {
     scg: Scg,
     layout: BitstreamLayout,
     icap: IcapModel,
-    current: Bitstream,
-    /// The parameters `current` was specialized for — the base state of
-    /// the incremental [`Scg::specialize_diff_from`] fast path.
-    last_params: BitVec,
+    /// The escalation set of the full-frame rewrite level.
+    region_frames: Vec<usize>,
     /// The (possibly faulty) reconfiguration transport.
     channel: Box<dyn IcapChannel>,
     policy: CommitPolicy,
-    /// Frames containing at least one tunable bit — the escalation set
-    /// of the full-frame rewrite level.
-    region_frames: Vec<usize>,
-    /// A previous turn rolled back, so configuration memory is not
-    /// trusted: the next commit rewrites every frame.
-    needs_resync: bool,
-    /// Memoized-evaluation scratch; its baseline tracks `last_params`.
-    scratch: SpecializeScratch,
-    /// Staging buffer for the turn's target configuration — reused so a
-    /// steady-state turn clones no bitstream.
-    staged: Bitstream,
-    /// Reused buffers for the turn's frame list and commit write set.
-    frames_buf: Vec<usize>,
-    write_set_buf: Vec<usize>,
+    turn: TurnState,
 }
 
 impl OnlineReconfigurator {
@@ -553,34 +543,15 @@ impl OnlineReconfigurator {
         channel: Box<dyn IcapChannel>,
         policy: CommitPolicy,
     ) -> Self {
-        let current = scg.generalized().base.clone();
-        let last_params = BitVec::zeros(scg.generalized().n_params);
-        let mut region_frames: Vec<usize> =
-            scg.generalized().tunable.iter().map(|&(addr, _)| layout.frame_of(addr)).collect();
-        region_frames.sort_unstable();
-        region_frames.dedup();
-        let staged = current.clone();
-        OnlineReconfigurator {
-            scg,
-            layout,
-            icap,
-            current,
-            last_params,
-            channel,
-            policy,
-            region_frames,
-            needs_resync: false,
-            scratch: SpecializeScratch::new(),
-            staged,
-            frames_buf: Vec::new(),
-            write_set_buf: Vec::new(),
-        }
+        let region_frames = region_frames(&scg, &layout);
+        let turn = TurnState::new(&scg);
+        OnlineReconfigurator { scg, layout, icap, region_frames, channel, policy, turn }
     }
 
     /// The currently loaded bitstream (the session's *belief* — equal to
     /// the device readback after every committed turn).
     pub fn current(&self) -> &Bitstream {
-        &self.current
+        self.turn.bits()
     }
 
     /// Read the device's configuration memory back through the channel —
@@ -592,7 +563,7 @@ impl OnlineReconfigurator {
     /// Whether the next turn will rewrite the whole device because a
     /// rolled-back commit left configuration memory untrusted.
     pub fn needs_resync(&self) -> bool {
-        self.needs_resync
+        self.turn.needs_resync()
     }
 
     /// Borrow the SCG.
@@ -602,7 +573,7 @@ impl OnlineReconfigurator {
 
     /// The parameters the loaded bitstream was specialized for.
     pub fn params(&self) -> &BitVec {
-        &self.last_params
+        self.turn.params()
     }
 
     /// Advance the device's between-turn clock by one step — on an
@@ -622,10 +593,10 @@ impl OnlineReconfigurator {
             self.channel.as_mut(),
             &self.icap,
             &self.scg,
-            &self.last_params,
+            self.turn.params(),
         )?;
         if report.quarantined_frames > 0 {
-            self.needs_resync = true;
+            self.turn.arm_resync();
         }
         Ok(report)
     }
@@ -635,14 +606,12 @@ impl OnlineReconfigurator {
     /// after every scrubbed run (the zero-undetected-divergence
     /// invariant).
     pub fn undetected_divergence(&self, scrubber: &crate::scrub::Scrubber) -> Vec<usize> {
-        let golden = self.scg.specialize(&self.last_params);
+        let golden = self.scg.specialize(self.turn.params());
         scrubber.undetected_divergence(self.channel.as_ref(), &golden)
     }
 
     /// One debugging turn: evaluate the new parameter assignment, rewrite
-    /// the changed frames, report the costs. Consecutive turns take the
-    /// incremental path — only functions whose support intersects the
-    /// changed parameters are re-evaluated.
+    /// the changed frames, report the costs.
     ///
     /// Panics on a parameter-count mismatch or an unrecoverable
     /// transport failure; use [`OnlineReconfigurator::try_apply`] when
@@ -654,72 +623,27 @@ impl OnlineReconfigurator {
     /// Fallible [`OnlineReconfigurator::apply`]: a malformed parameter
     /// vector or an exhausted ICAP retry budget is an error reply, not a
     /// process abort — the contract the debug service relies on. On
-    /// error the turn rolls back: `current`, `last_params` and the turn
+    /// error the turn rolls back: `current`, `params` and the turn
     /// accounting are unchanged.
     pub fn try_apply(&mut self, params: &BitVec) -> Result<TurnStats, String> {
         let _turn_span = pfdbg_obs::span("scg.turn");
-        let t0 = Instant::now();
-        // Memoized batch evaluation with a packed word-level diff; the
-        // scratch's baseline mirrors `last_params`, so a steady-state
-        // turn costs one node sweep and no allocation.
-        let changes =
-            self.scg.specialize_diff_from_batch(&self.last_params, params, &mut self.scratch)?;
-        let eval_time = t0.elapsed();
-        let bits_changed = changes.len();
-
-        // Changes come back ascending by bit address, so the frame list
-        // is already sorted — adjacent dedup is enough.
-        self.frames_buf.clear();
-        self.frames_buf.extend(changes.iter().map(|&(addr, _)| self.layout.frame_of(addr)));
-        self.frames_buf.dedup();
-        debug_assert!(self.frames_buf.windows(2).all(|w| w[0] < w[1]));
-
-        // Stage the target configuration without touching `current`
-        // (buffer reuse: clone_from into the retained staging bitstream).
-        self.staged.clone_from(&self.current);
-        for &(addr, v) in changes {
-            self.staged.set(addr, v);
-        }
-        // After a rollback the device content is untrusted: resync every
-        // frame regardless of how small this turn's diff is.
-        self.write_set_buf.clear();
-        if self.needs_resync {
-            self.write_set_buf.extend(0..self.layout.n_frames());
-        } else {
-            self.write_set_buf.extend_from_slice(&self.frames_buf);
-        }
-
-        match commit_frames(
-            self.channel.as_mut(),
-            &self.icap,
-            &self.staged,
-            &self.write_set_buf,
-            &self.region_frames,
-            &self.policy,
-        ) {
-            Ok(commit) => {
-                std::mem::swap(&mut self.current, &mut self.staged);
-                self.last_params.clone_from(params);
-                self.scratch.commit(params);
-                self.needs_resync = false;
-                let stats = TurnStats {
-                    eval_time,
-                    bits_changed,
-                    frames_changed: self.frames_buf.len(),
-                    transfer_time: commit.transfer_time,
-                    verify_time: commit.verify_time,
-                    retries: commit.retries,
-                    degradations: commit.degradations,
-                };
+        let env = TurnEnv {
+            scg: &self.scg,
+            layout: &self.layout,
+            icap: &self.icap,
+            region_frames: &self.region_frames,
+        };
+        match self.turn.step(&env, self.channel.as_mut(), &self.policy, params, None, || true) {
+            Ok(report) => {
+                let stats = report.stats();
                 record_turn(&stats, self.layout.frame_bits);
                 Ok(stats)
             }
-            Err((commit, msg)) => {
-                // No `scratch.commit`: the baseline keeps describing the
-                // still-loaded configuration.
-                self.needs_resync = true;
-                pfdbg_obs::counter_add("icap.rollbacks", 1);
-                Err(format!("reconfiguration rolled back after {} retries: {msg}", commit.retries))
+            Err(e) => {
+                if matches!(e, TurnError::RolledBack { .. }) {
+                    pfdbg_obs::counter_add("icap.rollbacks", 1);
+                }
+                Err(e.to_string())
             }
         }
     }
@@ -727,7 +651,7 @@ impl OnlineReconfigurator {
     /// The modeled cost of a *full* reconfiguration of this device — the
     /// baseline the paper compares against.
     pub fn full_reconfig_time(&self) -> Duration {
-        self.icap.full_reconfig(self.current.len(), self.layout.frame_bits)
+        self.icap.full_reconfig(self.turn.bits().len(), self.layout.frame_bits)
     }
 }
 
@@ -951,19 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_specialize_from_matches_full() {
-        let scg = large_scg();
-        let mut scratch = SpecializeScratch::new();
-        let zeros = BitVec::zeros(16);
-        let base = scg.specialize(&zeros);
-        for s in 0..4u32 {
-            let p: BitVec = (0..16).map(|i| (i + s) % 3 == 0).collect();
-            let batch = scg.specialize_from_batch(&base, &p, &mut scratch).unwrap();
-            assert_eq!(batch, scg.specialize(&p), "diverged at shift {s}");
-        }
-    }
-
-    #[test]
     fn batch_scratch_survives_rollback() {
         // A rolled-back turn must leave the scratch baseline on the
         // still-loaded configuration, so the next diff from the same
@@ -991,8 +902,6 @@ mod tests {
         assert!(scg
             .specialize_diff_from_batch(&params(&[true, false]), &params(&[true]), &mut scratch)
             .is_err());
-        let wrong = Bitstream::from_bits(pfdbg_util::BitVec::zeros(8));
-        assert!(scg.specialize_from_batch(&wrong, &params(&[true, false]), &mut scratch).is_err());
     }
 
     #[test]
@@ -1074,11 +983,11 @@ mod tests {
             crate::icap::CommitPolicy { max_retries: 1, ..Default::default() },
         );
         let before = online.current().clone();
-        let before_params = online.last_params.clone();
+        let before_params = online.params().clone();
         let err = online.try_apply(&params(&[true, true]));
         assert!(err.unwrap_err().contains("rolled back"));
         assert_eq!(online.current(), &before, "rollback must not advance the bitstream");
-        assert_eq!(online.last_params, before_params, "rollback must not advance params");
+        assert_eq!(*online.params(), before_params, "rollback must not advance params");
         assert!(online.needs_resync(), "a failed commit leaves the fabric untrusted");
         // A no-change turn still forces the resync write set, which the
         // dead channel keeps failing.
@@ -1092,7 +1001,7 @@ mod tests {
         online.apply(&params(&[true, false]));
         // Simulate a rollback flag without an actual failure: the next
         // turn must rewrite every frame and clear the flag.
-        online.needs_resync = true;
+        online.turn.arm_resync();
         let stats = online.apply(&params(&[true, true]));
         assert!(!online.needs_resync());
         assert_eq!(&online.readback(), online.current());

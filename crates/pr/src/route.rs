@@ -488,6 +488,9 @@ mod tests {
         let rrg = build_rrg(&dev);
         let placement = place(design, &dev, &PlaceConfig::default()).unwrap();
         let routed = route(design, &placement, &dev, &rrg, &RouteConfig::default()).unwrap();
+        if routed.success {
+            assert_branches_are_trees(design, &placement, &rrg, &routed);
+        }
         (routed, dev)
     }
 
@@ -499,6 +502,52 @@ mod tests {
             clusters.push(Default::default());
         }
         PackedDesign { blocks, clusters, nets, n_tcons: 0 }
+    }
+
+    /// Every branch of every net is a tree rooted at its alternative's
+    /// source opin that reaches each sink's chosen pin: no node has two
+    /// parents, and walking parents from any node ends at the root.
+    fn assert_branches_are_trees(
+        design: &PackedDesign,
+        placement: &Placement,
+        rrg: &RRGraph,
+        routed: &RoutedDesign,
+    ) {
+        for nr in &routed.routes {
+            for br in &nr.branches {
+                let s = &design.nets[nr.net].sources[br.alternative];
+                let loc = placement.locs[s.block];
+                let pin = match design.blocks[s.block] {
+                    Block::Clb(_) => s.ble,
+                    _ => loc.sub as usize,
+                };
+                let root = rrg.opin(loc.x as usize, loc.y as usize, pin).unwrap();
+                let mut parent: FxHashMap<RRNode, RRNode> = FxHashMap::default();
+                for &(from, to) in &br.edges {
+                    assert_ne!(to, root, "net {}: an edge enters the source", nr.net);
+                    assert!(
+                        parent.insert(to, from).is_none(),
+                        "net {}: {to:?} has two parents",
+                        nr.net
+                    );
+                }
+                for &start in parent.keys() {
+                    let mut node = start;
+                    for _ in 0..=parent.len() {
+                        if node == root {
+                            break;
+                        }
+                        node = *parent.get(&node).unwrap_or_else(|| {
+                            panic!("net {}: {node:?} is cut off from the source", nr.net)
+                        });
+                    }
+                    assert_eq!(node, root, "net {}: a cycle through {start:?}", nr.net);
+                }
+                for pin in nr.sink_pins.values() {
+                    assert!(parent.contains_key(pin), "net {}: sink pin {pin:?} unreached", nr.net);
+                }
+            }
+        }
     }
 
     #[test]
@@ -517,14 +566,7 @@ mod tests {
         let (r, _) = route_design(&d, 3);
         assert!(r.success, "routing failed after {} iterations", r.iterations);
         assert_eq!(r.routes.len(), 1);
-        let br = &r.routes[0].branches[0];
-        assert!(!br.edges.is_empty());
-        // Path is connected: consecutive edges chain.
-        for w in br.edges.windows(2) {
-            // edges form a tree built from paths; consecutive pairs within
-            // one path chain, so at least the first edge starts at an opin.
-            let _ = w;
-        }
+        assert!(!r.routes[0].branches[0].edges.is_empty());
         assert!(r.wires_used > 0);
     }
 

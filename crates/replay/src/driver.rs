@@ -1,13 +1,16 @@
 //! Rebuilding a recorded session: design → engine → a fresh
 //! [`DebugSession`] over the journal's chaos environment.
 //!
-//! The driver is the single execution engine used by both the recorder
+//! The driver is the execution engine of both the recorder
 //! (`Recorder`) and the verifier ([`crate::verify`]): a recorded
 //! session and its replay go through the *same* tick → specialize →
 //! commit path (`DebugSession::apply_params` →
-//! `OnlineReconfigurator::try_apply` → `commit_frames`), so every
-//! observable fact — bit/frame diffs, retry and escalation counts, SEU
-//! flips, readback CRC — is reproducible by construction.
+//! `OnlineReconfigurator::try_apply` → `pfdbg_pconf::TurnState::step`).
+//! A serve session runs that same turn step over the same channel stack
+//! ([`chaos_channel`]) and seed derivation ([`session_seed`]), so a
+//! journal recorded by either replays here, and every observable fact —
+//! bit/frame diffs, retry and escalation counts, SEU flips, readback
+//! CRC — is reproducible by construction.
 
 use crate::record::{DesignSpec, SelectFacts, SelectOutcome, SessionMeta};
 use pfdbg_arch::Bitstream;
@@ -16,12 +19,36 @@ use pfdbg_emu::{FaultyIcap, IcapFaultConfig, SeuConfig, SeuIcap};
 use pfdbg_pconf::{IcapChannel, MemoryIcap, OnlineReconfigurator, Scrubber};
 
 /// A session's private seed: deterministic in the configured base seed
-/// and the session name (FNV-1a) — byte-for-byte the derivation the
-/// serve layer applies, so a serve journal replays the exact fault,
-/// SEU, and jitter streams its session saw.
+/// and the session name (FNV-1a), so chaos runs reproduce while
+/// sessions still see independent fault patterns. The serve layer
+/// derives every per-session seed here — fault, SEU and jitter streams,
+/// and, under their own bases, shard placement, device assignment and
+/// journal file names — so a serve journal replays the exact streams
+/// its session saw.
 pub fn session_seed(base: u64, name: &str) -> u64 {
     name.bytes()
         .fold(base ^ 0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// A session's chaos channel over configuration memory `mem`: SEUs
+/// strike the device model itself and transport faults wrap outside
+/// it, so both injectors run together yet independently, each seeded
+/// through `derive` (the per-session [`session_seed`], or identity).
+/// Serve sessions and replays both build their channel here.
+pub fn chaos_channel(
+    mem: MemoryIcap,
+    seu: Option<SeuConfig>,
+    fault: Option<IcapFaultConfig>,
+    derive: impl Fn(u64) -> u64,
+) -> Box<dyn IcapChannel> {
+    let seu = seu.map(|s| SeuConfig { seed: derive(s.seed), ..s });
+    let fault = fault.map(|f| IcapFaultConfig { seed: derive(f.seed), ..f });
+    match (seu, fault) {
+        (Some(s), Some(f)) => Box::new(FaultyIcap::new(SeuIcap::new(mem, s), f)),
+        (Some(s), None) => Box::new(SeuIcap::new(mem, s)),
+        (None, Some(f)) => Box::new(FaultyIcap::new(mem, f)),
+        (None, None) => Box::new(mem),
+    }
 }
 
 /// 64-bit content CRC of a bitstream (FxHash over its packed words and
@@ -142,21 +169,7 @@ impl OnlineDriver {
             }
         };
         let mem = MemoryIcap::new(built.scg.generalized().base.clone(), built.layout.frame_bits);
-        // Mirror the serve layer's channel stack exactly: SEUs strike
-        // the device model itself, transport faults wrap outside.
-        let seu = chaos.seu.map(|s| SeuConfig { seed: derive(s.seed), ..s });
-        let channel: Box<dyn IcapChannel> = match (seu, chaos.fault) {
-            (Some(s), Some(f)) => Box::new(FaultyIcap::new(
-                SeuIcap::new(mem, s),
-                IcapFaultConfig { seed: derive(f.seed), ..f },
-            )),
-            (Some(s), None) => Box::new(SeuIcap::new(mem, s)),
-            (None, Some(f)) => {
-                Box::new(FaultyIcap::new(mem, IcapFaultConfig { seed: derive(f.seed), ..f }))
-            }
-            (None, None) => Box::new(mem),
-        };
-        let channel = wrap(channel);
+        let channel = wrap(chaos_channel(mem, chaos.seu, chaos.fault, derive));
         let jitter = derive(chaos.jitter_seed);
         let online = OnlineReconfigurator::with_channel(
             built.scg,
@@ -200,36 +213,13 @@ impl OnlineDriver {
     /// commit is itself an observable outcome.
     pub fn select(&mut self, params: &pfdbg_util::BitVec) -> SelectFacts {
         let seu_flips = self.session.tick() as u64;
-        match self.session.apply_params(params) {
+        let (outcome, stats) = match self.session.apply_params(params) {
             Ok(stats) => {
-                let stats = stats.expect("driver always attaches a device");
-                SelectFacts {
-                    params: params.clone(),
-                    outcome: SelectOutcome::Committed,
-                    bits_changed: stats.bits_changed as u64,
-                    frames_changed: stats.frames_changed as u64,
-                    retries: stats.retries as u64,
-                    degradations: stats.degradations as u64,
-                    cache_hit: false,
-                    seu_flips,
-                    readback_crc: self.readback_crc(),
-                }
+                (SelectOutcome::Committed, Some(stats.expect("driver always attaches a device")))
             }
-            Err(_) => SelectFacts {
-                params: params.clone(),
-                outcome: SelectOutcome::RolledBack,
-                // Retry/degradation counts of a rolled-back commit are
-                // not surfaced structurally by `try_apply`; rollback
-                // facts compare on outcome, SEU flips, and readback CRC.
-                bits_changed: 0,
-                frames_changed: 0,
-                retries: 0,
-                degradations: 0,
-                cache_hit: false,
-                seu_flips,
-                readback_crc: self.readback_crc(),
-            },
-        }
+            Err(_) => (SelectOutcome::RolledBack, None),
+        };
+        SelectFacts::of(params, outcome, stats.as_ref(), false, seu_flips, self.readback_crc())
     }
 
     /// Replay a recorded deadline miss: the miss was a wall-clock event
@@ -237,17 +227,8 @@ impl OnlineDriver {
     /// device was the between-turn tick — so that is what replays.
     pub fn deadline_miss(&mut self, params: &pfdbg_util::BitVec) -> SelectFacts {
         let seu_flips = self.session.tick() as u64;
-        SelectFacts {
-            params: params.clone(),
-            outcome: SelectOutcome::DeadlineMiss,
-            bits_changed: 0,
-            frames_changed: 0,
-            retries: 0,
-            degradations: 0,
-            cache_hit: false,
-            seu_flips,
-            readback_crc: self.readback_crc(),
-        }
+        let outcome = SelectOutcome::DeadlineMiss;
+        SelectFacts::of(params, outcome, None, false, seu_flips, self.readback_crc())
     }
 
     /// One scrub pass against the golden oracle for the session's
@@ -258,15 +239,7 @@ impl OnlineDriver {
             .online_mut()
             .expect("driver always attaches a device")
             .scrub(&mut self.scrubber)?;
-        Ok(crate::record::ScrubFacts {
-            frames_checked: report.frames_checked as u64,
-            upset_frames: report.upset_frames as u64,
-            upset_bits: report.upset_bits as u64,
-            repaired_frames: report.repaired_frames as u64,
-            failed_frames: report.failed_frames as u64,
-            quarantined_frames: report.quarantined_frames as u64,
-            readback_crc: self.readback_crc(),
-        })
+        Ok(crate::record::ScrubFacts::of(&report, self.readback_crc()))
     }
 }
 

@@ -12,7 +12,7 @@
 //! device) — never wall-clock times, which no replay can reproduce.
 
 use pfdbg_emu::{IcapFaultConfig, SeuConfig};
-use pfdbg_pconf::{CommitPolicy, ScrubPolicy};
+use pfdbg_pconf::{CommitPolicy, ScrubPolicy, ScrubReport, TurnStats};
 use pfdbg_store::bytes::{ByteReader, ByteWriter};
 use pfdbg_util::BitVec;
 use std::time::Duration;
@@ -203,6 +203,34 @@ pub struct SelectFacts {
     pub readback_crc: u64,
 }
 
+impl SelectFacts {
+    /// The facts of one select turn; `committed` holds its figures when
+    /// it committed. A turn that did not commit has zero diff and
+    /// commit counts (a rollback's retries are not part of the replay
+    /// contract).
+    pub fn of(
+        params: &BitVec,
+        outcome: SelectOutcome,
+        committed: Option<&TurnStats>,
+        cache_hit: bool,
+        seu_flips: u64,
+        readback_crc: u64,
+    ) -> SelectFacts {
+        let count = |f: fn(&TurnStats) -> u64| committed.map_or(0, f);
+        SelectFacts {
+            params: params.clone(),
+            outcome,
+            bits_changed: count(|s| s.bits_changed as u64),
+            frames_changed: count(|s| s.frames_changed as u64),
+            retries: count(|s| s.retries as u64),
+            degradations: count(|s| s.degradations as u64),
+            cache_hit,
+            seu_flips,
+            readback_crc,
+        }
+    }
+}
+
 /// Observable facts of one scrub pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScrubFacts {
@@ -220,6 +248,21 @@ pub struct ScrubFacts {
     pub quarantined_frames: u64,
     /// CRC of the full device readback after the pass.
     pub readback_crc: u64,
+}
+
+impl ScrubFacts {
+    /// The facts of `report`, with the device digest taken after it.
+    pub fn of(report: &ScrubReport, readback_crc: u64) -> ScrubFacts {
+        ScrubFacts {
+            frames_checked: report.frames_checked as u64,
+            upset_frames: report.upset_frames as u64,
+            upset_bits: report.upset_bits as u64,
+            repaired_frames: report.repaired_frames as u64,
+            failed_frames: report.failed_frames as u64,
+            quarantined_frames: report.quarantined_frames as u64,
+            readback_crc,
+        }
+    }
 }
 
 /// One journal record.

@@ -3,19 +3,21 @@
 //!
 //! The expensive, read-only products of the offline flow (SCG, layout,
 //! ICAP model, instrumented netlist) are shared behind `Arc`; each
-//! session owns only its parameter assignment, its (possibly faulty)
-//! reconfiguration channel, and the currently loaded bitstream, so
-//! turns from different clients proceed independently. A shared LRU of
-//! specialized bitstreams (keyed by parameter vector) short-circuits
-//! repeated selections across *all* sessions.
+//! session owns only its turn state (parameter assignment, loaded
+//! bitstream, evaluation scratch) and its (possibly faulty)
+//! reconfiguration channel, so turns from different clients proceed
+//! independently. A shared LRU maps parameter vectors to the packed
+//! tunable values of their specialization; a hit skips the BDD sweep
+//! across *all* sessions.
 //!
-//! Turns are **transactional**: the specialized bitstream is committed
-//! through [`pfdbg_pconf::icap::commit_frames`] (per-frame CRC,
-//! readback-verify, bounded retry, escalation) before any session
-//! state, turn counter, or cache entry advances. A deadline miss or an
-//! exhausted retry budget leaves the session exactly as it was — the
-//! only residue of a rollback is `needs_resync`, which makes the next
-//! commit rewrite every frame because configuration memory is no
+//! Turns are **transactional**: every select runs the one turn step
+//! [`pfdbg_pconf::TurnState::step`] that `OnlineReconfigurator` and the
+//! journal replay driver run too (diff, per-frame CRC, readback-verify,
+//! bounded retry, escalation). No session state, turn counter, or
+//! cache entry advances before the commit verifies. A deadline miss or
+//! an exhausted retry budget leaves the session exactly as it was —
+//! the only residue of a rollback is `needs_resync`, which makes the
+//! next commit rewrite every frame because configuration memory is no
 //! longer trusted.
 //!
 //! Sessions are **sharded, not locked**: a session pins to one of N
@@ -42,20 +44,17 @@
 //! unchanged from the mutex era.
 
 use crate::lru::LruCache;
-use crate::protocol::param_bits_string;
 use crate::shard::{relock, Inbox, Job, SelectSpec, Shard, ShardHandle, ShardHold};
 use crate::telemetry as tel;
 use pfdbg_arch::{Bitstream, BitstreamLayout, IcapModel};
-use pfdbg_core::Instrumented;
-use pfdbg_emu::{
-    DeviceControl, DeviceMode, DeviceRegistry, FaultyIcap, IcapFaultConfig, SeuConfig, SeuIcap,
-};
+use pfdbg_core::{plan_selection, Instrumented};
+use pfdbg_emu::{DeviceControl, DeviceMode, DeviceRegistry, IcapFaultConfig, SeuConfig};
 use pfdbg_obs::{FlightKind, FlightRecorder};
 use pfdbg_pconf::health::{DeviceHealth, HealthEvent, HealthLadder, HealthPolicy, WatchdogPolicy};
-use pfdbg_pconf::icap::{commit_frames, readback_all, CommitPolicy, IcapChannel, MemoryIcap};
+use pfdbg_pconf::icap::{readback_all, CommitPolicy, CommitStats, IcapChannel, MemoryIcap};
 use pfdbg_pconf::scrub::{ScrubHealth, ScrubPolicy, ScrubReport, Scrubber};
-use pfdbg_pconf::{Scg, SpecializeScratch};
-use pfdbg_replay::driver::bitstream_crc;
+use pfdbg_pconf::{region_frames, Scg, TurnEnv, TurnError, TurnReport, TurnState};
+use pfdbg_replay::driver::{bitstream_crc, chaos_channel, session_seed};
 use pfdbg_replay::verify::{diff_scrub, diff_select, Divergence};
 use pfdbg_replay::{
     ChaosSpec, DesignSpec, JournalRecord, JournalWriter, ScrubFacts, SelectFacts, SelectOutcome,
@@ -91,25 +90,19 @@ impl Engine {
     }
 }
 
-/// One client session: the parameters it last selected, the
-/// configuration currently loaded on its (modeled) device, the channel
-/// those frames travel over, and the scrubber that keeps the device
-/// honest between turns. Owned by exactly one shard thread — no lock.
+/// One client session: its turn state, the channel its frames travel
+/// over, and the scrubber that keeps the device honest between turns.
+/// Owned by exactly one shard thread — no lock.
 pub(crate) struct SessionState {
-    params: BitVec,
-    bits: Bitstream,
+    /// The parameters it last selected, the configuration loaded on its
+    /// (modeled) device, the resync flag, and the evaluation scratch.
+    /// **Per-session** — the shared `Engine::scg` is immutable behind
+    /// its `Arc`, and every mutable evaluation buffer lives here, on the
+    /// owning shard's thread, so concurrent sessions never observe each
+    /// other's sweeps (DESIGN.md §12).
+    turn: TurnState,
     turns: usize,
     channel: Box<dyn IcapChannel>,
-    /// Memoized batch-evaluation scratch. **Per-session** — the shared
-    /// `Engine::scg` is immutable behind its `Arc`, and every mutable
-    /// evaluation buffer lives here, on the owning shard's thread, so
-    /// concurrent sessions never observe each other's sweeps
-    /// (DESIGN.md §12).
-    scratch: SpecializeScratch,
-    /// A previous turn rolled back (or a scrub quarantined a frame);
-    /// the next commit rewrites every frame because configuration
-    /// memory is untrusted.
-    needs_resync: bool,
     scrubber: Scrubber,
     /// Per-session commit policy (the jitter seed is salted with the
     /// session name so concurrent sessions never retry in lockstep).
@@ -391,7 +384,7 @@ struct JournalCfg {
 /// blocks on a shard).
 pub(crate) struct ManagerCore {
     engine: Arc<Engine>,
-    cache: Mutex<LruCache<String, Arc<Bitstream>>>,
+    cache: Mutex<LruCache<BitVec, Arc<BitVec>>>,
     fault: Option<IcapFaultConfig>,
     seu: Option<SeuConfig>,
     policy: CommitPolicy,
@@ -435,7 +428,7 @@ pub(crate) struct ManagerCore {
 impl ManagerCore {
     /// The shared specialization LRU (the shard loop prefetches batches
     /// from it under a single lock acquisition).
-    pub(crate) fn cache(&self) -> &Mutex<LruCache<String, Arc<Bitstream>>> {
+    pub(crate) fn cache(&self) -> &Mutex<LruCache<BitVec, Arc<BitVec>>> {
         &self.cache
     }
 
@@ -476,29 +469,14 @@ impl ManagerCore {
     }
 
     /// A brand-new session's state — the base configuration (params =
-    /// 0) behind a freshly seeded chaos channel, exactly like
-    /// [`pfdbg_pconf::OnlineReconfigurator::new`]. Shared by `open`,
-    /// restore, and the detached `replay` verb so all three rebuild the
-    /// same session byte-for-byte.
+    /// 0) behind the per-session chaos channel the replay driver builds
+    /// too ([`chaos_channel`]). Shared by `open`, restore, and the
+    /// detached `replay` verb so all three rebuild the same session
+    /// byte-for-byte.
     fn fresh_state(&self, name: &str) -> SessionState {
-        let base = self.engine.scg.generalized().base.clone();
-        let mem = MemoryIcap::new(base.clone(), self.engine.layout.frame_bits);
-        // SEUs strike the device model itself; transport faults wrap
-        // outside, so both injectors run together yet independently —
-        // each with a per-session seed derived from its configured one.
-        let seu = self.seu.map(|cfg| SeuConfig { seed: session_seed(cfg.seed, name), ..cfg });
-        let channel: Box<dyn IcapChannel> = match (seu, self.fault) {
-            (Some(s), Some(f)) => Box::new(FaultyIcap::new(
-                SeuIcap::new(mem, s),
-                IcapFaultConfig { seed: session_seed(f.seed, name), ..f },
-            )),
-            (Some(s), None) => Box::new(SeuIcap::new(mem, s)),
-            (None, Some(f)) => Box::new(FaultyIcap::new(
-                mem,
-                IcapFaultConfig { seed: session_seed(f.seed, name), ..f },
-            )),
-            (None, None) => Box::new(mem),
-        };
+        let engine = &self.engine;
+        let mem = MemoryIcap::new(engine.scg.generalized().base.clone(), engine.layout.frame_bits);
+        let channel = chaos_channel(mem, self.seu, self.fault, |seed| session_seed(seed, name));
         // With a fleet configured, the session's device wraps the whole
         // chaos stack: kill/stall/wedge verdicts apply at the outermost
         // write, and a dead device stops ticking (it takes no upsets).
@@ -522,12 +500,9 @@ impl ManagerCore {
             ..self.policy
         };
         SessionState {
-            params: BitVec::zeros(self.engine.n_params()),
-            bits: base,
+            turn: TurnState::new(&self.engine.scg),
             turns: 0,
             channel,
-            scratch: SpecializeScratch::new(),
-            needs_resync: false,
             scrubber: Scrubber::new(self.scrub_policy),
             policy,
             flight: FlightRecorder::new(FLIGHT_CAP),
@@ -693,49 +668,57 @@ impl ManagerCore {
         Ok((session, records.len(), div))
     }
 
-    /// Map a signal selection to a parameter vector against `current`
-    /// (each selected signal claims one free trace port; unrelated
-    /// ports keep their previous selection). Pure — the shard calls it
-    /// with the session's live parameters, making plan + select one
-    /// atomic inbox job.
-    fn plan_for(&self, current: &BitVec, signals: &[String]) -> Result<BitVec, String> {
-        let mut params = current.clone();
-        let inst = &self.engine.inst;
-        let mut used = vec![false; inst.ports.len()];
-        for sig in signals {
-            let found = inst.ports.iter().enumerate().find_map(|(p, port)| {
-                if used[p] {
-                    return None;
-                }
-                port.select_for(sig).map(|v| (p, v))
-            });
-            let (p, v) =
-                found.ok_or_else(|| format!("no free trace port can observe {sig} this turn"))?;
-            used[p] = true;
-            for (bit, name) in inst.ports[p].sel_params.iter().enumerate() {
-                let idx = inst
-                    .annotations
-                    .params
-                    .iter()
-                    .position(|q| q == name)
-                    .ok_or_else(|| format!("select parameter {name} not annotated"))?;
-                params.set(idx, (v >> bit) & 1 == 1);
-            }
+    /// Journal one turn's facts; turns that did not commit (`committed`
+    /// is `None`) journal zero diff and commit counts.
+    fn journal_select(
+        &self,
+        state: &mut SessionState,
+        params: &BitVec,
+        outcome: SelectOutcome,
+        committed: Option<&TurnReport>,
+        cache_hit: bool,
+        seu_flips: usize,
+    ) {
+        if !wants_facts(state) {
+            return;
         }
-        Ok(params)
+        let stats = committed.map(TurnReport::stats);
+        let (flips, crc) = (seu_flips as u64, device_crc(state));
+        let facts = SelectFacts::of(params, outcome, stats.as_ref(), cache_hit, flips, crc);
+        self.journal(state, JournalRecord::Select(facts));
     }
 
-    /// Append one turn's facts to the session journal and/or the
-    /// capture slot the replay paths read back.
-    fn journal_select(&self, state: &mut SessionState, facts: SelectFacts) {
+    /// Append a record to the session journal and/or the capture slot
+    /// the restore and replay paths read back.
+    fn journal(&self, state: &mut SessionState, record: JournalRecord) {
         if let Some(journal) = state.journal.as_mut() {
-            if journal.append(&JournalRecord::Select(facts.clone())).is_ok() {
+            if journal.append(&record).is_ok() {
                 self.journal_records.fetch_add(1, Ordering::Relaxed);
             }
         }
         if state.capture_facts {
-            state.last_select_facts = Some(facts);
+            match record {
+                JournalRecord::Select(facts) => state.last_select_facts = Some(facts),
+                JournalRecord::Scrub(facts) => state.last_scrub_facts = Some(facts),
+                _ => {}
+            }
         }
+    }
+
+    /// The fleet gate: `Err` when the session's device no longer
+    /// serves, after starting its (idempotent) failover — in case the
+    /// mode flipped without a commit observing it.
+    fn device_gate(&self, device: usize) -> Result<(), String> {
+        let Some(f) = &self.fleet else { return Ok(()) };
+        let mode = f.device_mode(device);
+        if mode == DeviceMode::Ok {
+            return Ok(());
+        }
+        self.begin_failover(device, DeviceHealth::Failed);
+        Err(format!(
+            "device dev{device} is {} — session is migrating to a spare; retry shortly",
+            mode.as_str()
+        ))
     }
 
     /// Record a shed request (shard inbox full, `overloaded` sent).
@@ -859,17 +842,6 @@ impl ManagerCore {
     }
 }
 
-/// A session's private fault seed: deterministic in the configured
-/// seed and the session name (FNV-1a), so chaos runs reproduce while
-/// sessions still see independent fault patterns. Doubles as the
-/// shard-placement hash (with its own base), so placement is stable
-/// across restarts and shard counts only regroup — never reorder — a
-/// session's operations.
-pub(crate) fn session_seed(base: u64, name: &str) -> u64 {
-    name.bytes()
-        .fold(base ^ 0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
-}
-
 /// Whether this session's turns must produce replay facts (it journals,
 /// or a restore/replay is comparing against a recording).
 fn wants_facts(state: &SessionState) -> bool {
@@ -883,32 +855,69 @@ fn device_crc(state: &SessionState) -> u64 {
 }
 
 impl ManagerCore {
+    /// Add one commit's retries and escalations to the fleet totals.
+    fn count_commit(&self, commit: &CommitStats) {
+        self.icap_retries.fetch_add(commit.retries as u64, Ordering::Relaxed);
+        self.icap_degradations.fetch_add(commit.degradations as u64, Ordering::Relaxed);
+        tel::RETRIES.add(commit.retries as u64);
+        tel::DEGRADATIONS.add(commit.degradations as u64);
+    }
+
+    /// Feed one commit to the session's device health ladder (no-op
+    /// without a fleet): a commit over its retry-scaled watchdog
+    /// allowance is a trip, anything else is `event`. A rung that needs
+    /// a drain starts the failover.
+    fn observe_commit(
+        &self,
+        state: &mut SessionState,
+        turn_no: u64,
+        commit: &CommitStats,
+        commit_time: Duration,
+        event: HealthEvent,
+    ) {
+        let Some(f) = &self.fleet else { return };
+        let verdict = f.watchdog.assess_commit(commit, commit_time);
+        let event = if verdict.tripped {
+            let elapsed_us = verdict.elapsed.as_micros() as u64;
+            f.note_trip(state.device, &mut state.flight, turn_no, elapsed_us);
+            HealthEvent::WatchdogTrip
+        } else {
+            event
+        };
+        if let Some(to) = f.observe(state.device, event) {
+            if to.needs_drain() {
+                self.begin_failover(state.device, to);
+            }
+        }
+    }
+
     /// The turn body, run with exclusive access to the session's state
     /// (the owning shard thread's, or a detached state during journal
     /// restore/replay — all three drive the *same* code path a live
-    /// client exercises: replay fidelity by construction, not by a
-    /// parallel reimplementation).
+    /// client exercises). The turn itself is [`TurnState::step`]; this
+    /// layer adds the fleet gate, the between-turn tick, the cache,
+    /// telemetry, the device health ladder and the journal.
     ///
     /// `batch` is the shard's per-poll LRU prefetch: `Some` means the
     /// lookup reads the prefetched map (no cache lock on the hot path)
     /// and publications mirror into it; `None` takes the cache lock
-    /// directly. Cached bitstreams are a pure function of the parameter
+    /// directly. Cached values are a pure function of the parameter
     /// key, so a prefetched entry can never be *wrong*, only absent.
     ///
-    /// The deadline (when given as `(request start, budget)`) is
-    /// checked *before* the commit: a missed deadline is a pure error —
-    /// no turn counter advances, no cache entry is published, no frame
-    /// is written. The start is the request's parse time, so time spent
-    /// queued in a saturated inbox counts against the budget. Likewise
-    /// an exhausted retry budget rolls the turn back, leaving only
-    /// `needs_resync` behind.
+    /// The deadline (when given as `(request start, budget)`) is the
+    /// step's gate, checked after evaluation and before the commit: a
+    /// missed deadline is a pure error — no turn counter advances, no
+    /// cache entry is published, no frame is written. The start is the
+    /// request's parse time, so time spent queued in a saturated inbox
+    /// counts against the budget. Likewise an exhausted retry budget
+    /// rolls the turn back, leaving only `needs_resync` behind.
     pub(crate) fn select_on(
         &self,
         session: &str,
         state: &mut SessionState,
         params: &BitVec,
         deadline: Option<(Instant, Duration)>,
-        batch: Option<&mut FxHashMap<String, Arc<Bitstream>>>,
+        batch: Option<&mut FxHashMap<BitVec, Arc<BitVec>>>,
     ) -> Result<TurnOutcome, String> {
         let _s = pfdbg_obs::span("serve.select");
         if params.len() != self.engine.n_params() {
@@ -921,24 +930,10 @@ impl ManagerCore {
         // Fleet gate: a session whose device is no longer serving never
         // ticks, commits, or journals — device-level failure is not
         // seed-reproducible, so the turn must leave no trace for the
-        // journal re-drive on the spare to diverge over. The failover
-        // (idempotent) starts here in case the mode flipped without a
-        // commit observing it.
-        if let Some(f) = &self.fleet {
-            let mode = f.device_mode(state.device);
-            if mode != DeviceMode::Ok {
-                state.flight.record(
-                    FlightKind::DeviceFailed,
-                    state.turns as u64,
-                    state.device as u64,
-                );
-                self.begin_failover(state.device, DeviceHealth::Failed);
-                return Err(format!(
-                    "device dev{} is {} — session is migrating to a spare; retry shortly",
-                    state.device,
-                    mode.as_str()
-                ));
-            }
+        // journal re-drive on the spare to diverge over.
+        if let Err(e) = self.device_gate(state.device) {
+            state.flight.record(FlightKind::DeviceFailed, state.turns as u64, state.device as u64);
+            return Err(e);
         }
         let t0 = Instant::now();
         let engine = &self.engine;
@@ -955,33 +950,15 @@ impl ManagerCore {
         }
         state.flight.record(FlightKind::TurnStart, turn_no, flipped as u64);
 
-        let key = param_bits_string(params);
         // The batch map is an optimization, not the source of truth: it
         // only holds keys the prefetch saw in `Select` jobs, so a select
         // arriving as a `Run` job (facade round-trips, replays) must
-        // still fall through to the shared LRU before specializing.
-        let cached = match batch.as_deref() {
-            Some(map) => map.get(&key).cloned(),
-            None => None,
-        }
-        .or_else(|| relock(&self.cache).get(&key).cloned());
-        let (new_bits, cache_hit) = match cached {
-            Some(bits) => (bits, true),
-            None => {
-                // Miss: memoized batch specialization from this
-                // session's current state (one node-table sweep via the
-                // per-session scratch). Publication to the shared LRU
-                // waits until the commit verifies: an aborted turn must
-                // leave no trace.
-                let sp0 = Instant::now();
-                let bits =
-                    engine.scg.specialize_from_batch(&state.bits, params, &mut state.scratch)?;
-                let sp_us = sp0.elapsed().as_secs_f64() * 1e6;
-                tel::SPECIALIZE_US.record_us(sp_us);
-                tel::SLO_SPECIALIZE.observe_us(sp_us);
-                (Arc::new(bits), false)
-            }
-        };
+        // still fall through to the shared LRU. A miss sweeps the BDD
+        // node table inside the step; publication waits until the
+        // commit verifies, so an aborted turn leaves no trace.
+        let cached = (batch.as_deref().and_then(|map| map.get(params).cloned()))
+            .or_else(|| relock(&self.cache).get(params).cloned());
+        let cache_hit = cached.is_some();
         if cache_hit {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             tel::CACHE_HITS.add(1);
@@ -990,167 +967,54 @@ impl ManagerCore {
             tel::CACHE_MISSES.add(1);
         }
 
-        // Diff against the session's loaded configuration by XOR-ing
-        // whole words: only tunable addresses can differ between two
-        // specializations of the same generalized bitstream, so this
-        // counts exactly the bits the old per-tunable compare did.
-        // Ascending addresses mean nondecreasing frame indices, so an
-        // adjacent-duplicate check replaces the sort+dedup.
-        let mut frames: Vec<usize> = Vec::new();
-        let mut bits_changed = 0usize;
-        for (wi, (&a, &b)) in state.bits.words().iter().zip(new_bits.words()).enumerate() {
-            let mut x = a ^ b;
-            while x != 0 {
-                let bit = x.trailing_zeros() as usize;
-                x &= x - 1;
-                bits_changed += 1;
-                let f = engine.layout.frame_of(wi * 64 + bit);
-                if frames.last() != Some(&f) {
-                    frames.push(f);
-                }
-            }
+        let env = TurnEnv {
+            scg: &engine.scg,
+            layout: &engine.layout,
+            icap: &engine.icap,
+            region_frames: &self.region_frames,
+        };
+        let lookup = t0.elapsed();
+        let in_time = || deadline.is_none_or(|(started, budget)| started.elapsed() <= budget);
+        let stepped = state.turn.step(
+            &env,
+            state.channel.as_mut(),
+            &state.policy,
+            params,
+            cached.as_deref(),
+            in_time,
+        );
+        // The paper's headline latency: every miss's specialization,
+        // whether or not its turn goes on to commit.
+        let specialize_time = match &stepped {
+            Ok(TurnReport { specialize_time, .. })
+            | Err(TurnError::Deadline { specialize_time })
+            | Err(TurnError::RolledBack { specialize_time, .. }) => Some(*specialize_time),
+            Err(TurnError::Params(_)) => None,
+        };
+        if let Some(t) = specialize_time.filter(|_| !cache_hit) {
+            let sp_us = t.as_secs_f64() * 1e6;
+            tel::SPECIALIZE_US.record_us(sp_us);
+            tel::SLO_SPECIALIZE.observe_us(sp_us);
         }
-
-        // Deadline gate: all state mutation lies beyond this point.
-        if let Some((started, budget)) = deadline {
-            if started.elapsed() > budget {
+        let report = match stepped {
+            Ok(report) => report,
+            Err(TurnError::Params(msg)) => return Err(msg),
+            Err(TurnError::Deadline { .. }) => {
+                let (started, budget) = deadline.expect("only a deadline refuses a turn");
+                let spent = started.elapsed();
                 tel::DEADLINE_MISSES.add(1);
-                state.flight.record(
-                    FlightKind::DeadlineMiss,
-                    turn_no,
-                    started.elapsed().as_micros() as u64,
-                );
-                if wants_facts(state) {
-                    // The miss left only the between-turn tick behind;
-                    // journal exactly that so a replay reproduces it.
-                    let facts = SelectFacts {
-                        params: params.clone(),
-                        outcome: SelectOutcome::DeadlineMiss,
-                        bits_changed: 0,
-                        frames_changed: 0,
-                        retries: 0,
-                        degradations: 0,
-                        cache_hit,
-                        seu_flips: flipped as u64,
-                        readback_crc: device_crc(state),
-                    };
-                    self.journal_select(state, facts);
-                }
+                state.flight.record(FlightKind::DeadlineMiss, turn_no, spent.as_micros() as u64);
+                // The miss left only the between-turn tick behind;
+                // journal exactly that so a replay reproduces it.
+                let outcome = SelectOutcome::DeadlineMiss;
+                self.journal_select(state, params, outcome, None, cache_hit, flipped);
                 return Err(format!(
                     "deadline exceeded: {:.1} ms spent, {:.1} ms allowed",
-                    started.elapsed().as_secs_f64() * 1e3,
+                    spent.as_secs_f64() * 1e3,
                     budget.as_secs_f64() * 1e3
                 ));
             }
-        }
-        let eval_us = t0.elapsed().as_secs_f64() * 1e6;
-
-        // A rolled-back turn left configuration memory untrusted: the
-        // recovery commit rewrites every frame, not just the diff.
-        let resyncing = state.needs_resync;
-        let write_set: Vec<usize> =
-            if resyncing { (0..engine.layout.n_frames()).collect() } else { frames.clone() };
-        let t_commit = Instant::now();
-        match commit_frames(
-            state.channel.as_mut(),
-            &engine.icap,
-            &new_bits,
-            &write_set,
-            &self.region_frames,
-            &state.policy,
-        ) {
-            Ok(commit) => {
-                if commit.retries > 0 {
-                    state.flight.record(FlightKind::Retry, turn_no, commit.retries as u64);
-                }
-                if commit.degradations > 0 {
-                    state.flight.record(
-                        FlightKind::Degradation,
-                        turn_no,
-                        commit.degradations as u64,
-                    );
-                }
-                if resyncing {
-                    state.flight.record(FlightKind::Resync, turn_no, write_set.len() as u64);
-                }
-                state.flight.record(FlightKind::TurnCommit, turn_no, bits_changed as u64);
-                state.bits = (*new_bits).clone();
-                state.params = params.clone();
-                state.needs_resync = false;
-                state.turns += 1;
-                let turn = state.turns - 1;
-                if wants_facts(state) {
-                    let facts = SelectFacts {
-                        params: params.clone(),
-                        outcome: SelectOutcome::Committed,
-                        bits_changed: bits_changed as u64,
-                        frames_changed: frames.len() as u64,
-                        retries: commit.retries as u64,
-                        degradations: commit.degradations as u64,
-                        cache_hit,
-                        seu_flips: flipped as u64,
-                        readback_crc: device_crc(state),
-                    };
-                    self.journal_select(state, facts);
-                }
-                // Cache publication happens from the owning shard — the
-                // session→cache order scrub repairs already use. Mirror
-                // into the live prefetch map so later selects in the
-                // same batch see it too.
-                if !cache_hit {
-                    relock(&self.cache).put(key.clone(), new_bits.clone());
-                    if let Some(map) = batch {
-                        map.insert(key, new_bits.clone());
-                    }
-                }
-                self.icap_retries.fetch_add(commit.retries as u64, Ordering::Relaxed);
-                self.icap_degradations.fetch_add(commit.degradations as u64, Ordering::Relaxed);
-                self.turns_total.fetch_add(1, Ordering::Relaxed);
-                tel::TURNS.add(1);
-                tel::RETRIES.add(commit.retries as u64);
-                tel::DEGRADATIONS.add(commit.degradations as u64);
-                let turn_us = t0.elapsed().as_secs_f64() * 1e6;
-                tel::TURN_US.record_us(turn_us);
-                tel::SLO_TURN.observe_us(turn_us);
-                // Feed the device's health ladder: a commit that blew
-                // its retry-scaled watchdog allowance counts as a trip
-                // even though it verified — a wedged-but-alive port
-                // must not hide behind eventual success.
-                if let Some(f) = &self.fleet {
-                    let verdict = f.watchdog.assess_commit(&commit, t_commit.elapsed());
-                    let event = if verdict.tripped {
-                        f.note_trip(
-                            state.device,
-                            &mut state.flight,
-                            turn_no,
-                            verdict.elapsed.as_micros() as u64,
-                        );
-                        HealthEvent::WatchdogTrip
-                    } else if commit.degradations > 0 {
-                        HealthEvent::Escalation(commit.degradations)
-                    } else {
-                        HealthEvent::CleanCommit
-                    };
-                    if let Some(to) = f.observe(state.device, event) {
-                        if to.needs_drain() {
-                            self.begin_failover(state.device, to);
-                        }
-                    }
-                }
-                Ok(TurnOutcome {
-                    params: params.clone(),
-                    bits_changed,
-                    frames_changed: frames.len(),
-                    eval_us,
-                    transfer_us: commit.transfer_time.as_secs_f64() * 1e6,
-                    verify_us: commit.verify_time.as_secs_f64() * 1e6,
-                    retries: commit.retries,
-                    degradations: commit.degradations,
-                    cache_hit,
-                    turn,
-                })
-            }
-            Err((commit, msg)) => {
+            Err(e @ TurnError::RolledBack { commit, commit_time, .. }) => {
                 // A device-mode failure mid-commit (killed, stalled, or
                 // wedged under this very turn) is not the session's
                 // rollback: it is never journaled — the re-drive on the
@@ -1158,72 +1022,77 @@ impl ManagerCore {
                 // would desync the chaos streams — and it starts the
                 // failover directly. The client retries the turn on the
                 // spare, which replays every journaled turn first.
-                if let Some(f) = &self.fleet {
-                    let mode = f.device_mode(state.device);
-                    if mode != DeviceMode::Ok {
-                        state.needs_resync = true;
-                        state.flight.record(FlightKind::DeviceFailed, turn_no, state.device as u64);
-                        self.begin_failover(state.device, DeviceHealth::Failed);
-                        return Err(format!(
-                            "device dev{} went {} mid-commit — session is migrating; retry shortly",
-                            state.device,
-                            mode.as_str()
-                        ));
-                    }
-                    // An honest rollback under seeded chaos: journaled
-                    // below and fed to the ladder (with the watchdog's
-                    // verdict taking precedence over the plain
-                    // rollback).
-                    let verdict = f.watchdog.assess_commit(&commit, t_commit.elapsed());
-                    let event = if verdict.tripped {
-                        f.note_trip(
-                            state.device,
-                            &mut state.flight,
-                            turn_no,
-                            verdict.elapsed.as_micros() as u64,
-                        );
-                        HealthEvent::WatchdogTrip
-                    } else {
-                        HealthEvent::Rollback
-                    };
-                    if let Some(to) = f.observe(state.device, event) {
-                        if to.needs_drain() {
-                            self.begin_failover(state.device, to);
-                        }
-                    }
+                if let Err(e) = self.device_gate(state.device) {
+                    state.flight.record(FlightKind::DeviceFailed, turn_no, state.device as u64);
+                    return Err(e);
                 }
-                state.needs_resync = true;
+                // An honest rollback under seeded chaos: fed to the
+                // ladder and journaled.
+                self.observe_commit(state, turn_no, &commit, commit_time, HealthEvent::Rollback);
                 state.flight.record(FlightKind::TurnRollback, turn_no, commit.retries as u64);
-                if wants_facts(state) {
-                    // Retry counts of an aborted commit are not part of
-                    // the replay contract (see `pfdbg-replay`); the
-                    // journaled facts are the outcome, the tick's SEU
-                    // flips, and the post-rollback device digest.
-                    let facts = SelectFacts {
-                        params: params.clone(),
-                        outcome: SelectOutcome::RolledBack,
-                        bits_changed: 0,
-                        frames_changed: 0,
-                        retries: 0,
-                        degradations: 0,
-                        cache_hit,
-                        seu_flips: flipped as u64,
-                        readback_crc: device_crc(state),
-                    };
-                    self.journal_select(state, facts);
-                }
+                let outcome = SelectOutcome::RolledBack;
+                self.journal_select(state, params, outcome, None, cache_hit, flipped);
                 // A rollback is exactly the moment a post-mortem is
                 // wanted: snapshot the ring before anyone else turns.
                 *relock(&self.last_dump) = Some((session.to_string(), state.flight.to_jsonl()));
-                self.icap_retries.fetch_add(commit.retries as u64, Ordering::Relaxed);
-                self.icap_degradations.fetch_add(commit.degradations as u64, Ordering::Relaxed);
+                self.count_commit(&commit);
                 self.icap_rollbacks.fetch_add(1, Ordering::Relaxed);
                 tel::ROLLBACKS.add(1);
-                tel::RETRIES.add(commit.retries as u64);
-                tel::DEGRADATIONS.add(commit.degradations as u64);
-                Err(format!("reconfiguration rolled back: {msg}"))
+                return Err(e.to_string());
+            }
+        };
+        let commit = report.commit;
+        if commit.retries > 0 {
+            state.flight.record(FlightKind::Retry, turn_no, commit.retries as u64);
+        }
+        if commit.degradations > 0 {
+            state.flight.record(FlightKind::Degradation, turn_no, commit.degradations as u64);
+        }
+        if report.resynced {
+            state.flight.record(FlightKind::Resync, turn_no, engine.layout.n_frames() as u64);
+        }
+        state.flight.record(FlightKind::TurnCommit, turn_no, report.bits_changed as u64);
+        let turn = state.turns;
+        state.turns += 1;
+        let outcome = SelectOutcome::Committed;
+        self.journal_select(state, params, outcome, Some(&report), cache_hit, flipped);
+        // Cache publication happens from the owning shard — the
+        // session→cache order scrub repairs already use. Mirror into the
+        // live prefetch map so later selects in the same batch see it.
+        if !cache_hit {
+            let packed = Arc::new(state.turn.packed().clone());
+            relock(&self.cache).put(params.clone(), packed.clone());
+            if let Some(map) = batch {
+                map.insert(params.clone(), packed);
             }
         }
+        self.count_commit(&commit);
+        self.turns_total.fetch_add(1, Ordering::Relaxed);
+        tel::TURNS.add(1);
+        let turn_us = t0.elapsed().as_secs_f64() * 1e6;
+        tel::TURN_US.record_us(turn_us);
+        tel::SLO_TURN.observe_us(turn_us);
+        // A commit that blew its retry-scaled watchdog allowance counts
+        // as a trip even though it verified — a wedged-but-alive port
+        // must not hide behind eventual success.
+        let event = if commit.degradations > 0 {
+            HealthEvent::Escalation(commit.degradations)
+        } else {
+            HealthEvent::CleanCommit
+        };
+        self.observe_commit(state, turn_no, &commit, report.commit_time, event);
+        Ok(TurnOutcome {
+            params: params.clone(),
+            bits_changed: report.bits_changed,
+            frames_changed: report.frames_changed,
+            eval_us: (lookup + report.eval_time).as_secs_f64() * 1e6,
+            transfer_us: commit.transfer_time.as_secs_f64() * 1e6,
+            verify_us: commit.verify_time.as_secs_f64() * 1e6,
+            retries: commit.retries,
+            degradations: commit.degradations,
+            cache_hit,
+            turn,
+        })
     }
 
     /// One scrub pass against the PConf-evaluated golden frames for the
@@ -1235,7 +1104,7 @@ impl ManagerCore {
         &self,
         session: &str,
         state: &mut SessionState,
-        batch: Option<&mut FxHashMap<String, Arc<Bitstream>>>,
+        batch: Option<&mut FxHashMap<BitVec, Arc<BitVec>>>,
     ) -> Result<ScrubReport, String> {
         let _s = pfdbg_obs::span("serve.scrub");
         let t0 = Instant::now();
@@ -1243,32 +1112,22 @@ impl ManagerCore {
         // Fleet gate — same contract as `select_on`: a scrub never
         // touches (or journals against) a dead device.
         let device = state.device;
-        if let Some(f) = &self.fleet {
-            let mode = f.device_mode(device);
-            if mode != DeviceMode::Ok {
-                self.begin_failover(device, DeviceHealth::Failed);
-                return Err(format!(
-                    "device dev{device} is {} — session is migrating to a spare; retry shortly",
-                    mode.as_str()
-                ));
-            }
-        }
+        self.device_gate(device)?;
         // Destructure so the scrubber and the channel borrow disjoint
         // fields of the same state.
-        let SessionState { scrubber, channel, params, needs_resync, flight, turns, .. } = state;
+        let SessionState { scrubber, channel, turn, flight, turns, .. } = state;
         let turn_no = *turns as u64;
         let report =
-            scrubber.scrub_with_scg(channel.as_mut(), &engine.icap, &engine.scg, params)?;
+            scrubber.scrub_with_scg(channel.as_mut(), &engine.icap, &engine.scg, turn.params())?;
         flight.record(FlightKind::ScrubPass, turn_no, report.upset_frames as u64);
         if report.repaired_frames > 0 {
             // A repair rewrote device frames behind the cached
             // specialization's back: drop the entry for this vector so
             // the next select re-verifies through a fresh specialize
             // instead of trusting it.
-            let key = param_bits_string(params);
-            relock(&self.cache).remove(&key);
+            relock(&self.cache).remove(turn.params());
             if let Some(map) = batch {
-                map.remove(&key);
+                map.remove(turn.params());
             }
             flight.record(FlightKind::ScrubRepair, turn_no, report.repaired_frames as u64);
             tel::SCRUB_REPAIRS.add(report.repaired_frames as u64);
@@ -1278,7 +1137,7 @@ impl ManagerCore {
             // next commit rewrites everything (and will keep failing on
             // a truly stuck frame — degraded, loudly, rather than
             // serving corrupt trace data).
-            *needs_resync = true;
+            turn.arm_resync();
             flight.record(FlightKind::Quarantine, turn_no, report.quarantined_frames as u64);
             tel::SCRUB_QUARANTINES.add(report.quarantined_frames as u64);
             // Quarantine is the fleet's "something is wrong here":
@@ -1310,23 +1169,8 @@ impl ManagerCore {
         self.scrub_repairs.fetch_add(report.repaired_frames as u64, Ordering::Relaxed);
         self.scrub_quarantined.fetch_add(report.quarantined_frames as u64, Ordering::Relaxed);
         if wants_facts(state) {
-            let facts = ScrubFacts {
-                frames_checked: report.frames_checked as u64,
-                upset_frames: report.upset_frames as u64,
-                upset_bits: report.upset_bits as u64,
-                repaired_frames: report.repaired_frames as u64,
-                failed_frames: report.failed_frames as u64,
-                quarantined_frames: report.quarantined_frames as u64,
-                readback_crc: device_crc(state),
-            };
-            if let Some(journal) = state.journal.as_mut() {
-                if journal.append(&JournalRecord::Scrub(facts)).is_ok() {
-                    self.journal_records.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if state.capture_facts {
-                state.last_scrub_facts = Some(facts);
-            }
+            let facts = ScrubFacts::of(&report, device_crc(state));
+            self.journal(state, JournalRecord::Scrub(facts));
         }
         pfdbg_obs::gauge_set("serve.scrub_ms_last", t0.elapsed().as_secs_f64() * 1e3);
         Ok(report)
@@ -1426,7 +1270,8 @@ impl Shard {
                 // Planned keys are not in the batch prefetch (only
                 // literal `params` requests are scanned), so this path
                 // looks the LRU up directly.
-                let params = core.plan_for(&state.params, &signals)?;
+                let params =
+                    plan_selection(&core.engine.inst, state.turn.params(), &signals)?.params;
                 core.select_on(session, state, &params, deadline, None)
             }
         }
@@ -1452,7 +1297,7 @@ impl Shard {
             bits_upset: totals.upset_bits,
             frames_repaired: totals.repaired_frames,
             quarantine: state.scrubber.quarantined().iter().copied().collect(),
-            needs_resync: state.needs_resync,
+            needs_resync: state.turn.needs_resync(),
             turns: state.turns,
         })
     }
@@ -1462,7 +1307,7 @@ impl Shard {
     pub(crate) fn state_tuple(&self, session: &str) -> Result<(BitVec, usize, bool), String> {
         let state =
             self.sessions.get(session).ok_or_else(|| format!("no such session {session:?}"))?;
-        Ok((state.params.clone(), state.turns, state.needs_resync))
+        Ok((state.turn.params().clone(), state.turns, state.turn.needs_resync()))
     }
 
     /// Read a session's device configuration memory back through its
@@ -1478,7 +1323,7 @@ impl Shard {
     pub(crate) fn plan(&self, session: &str, signals: &[String]) -> Result<BitVec, String> {
         let state =
             self.sessions.get(session).ok_or_else(|| format!("no such session {session:?}"))?;
-        self.core.plan_for(&state.params, signals)
+        Ok(plan_selection(&self.core.engine.inst, state.turn.params(), signals)?.params)
     }
 
     /// A live dump of a session's flight-recorder ring as JSONL
@@ -1613,7 +1458,7 @@ impl Shard {
                     ("busy", JsonValue::Bool(false)),
                     ("turns", JsonValue::Num(state.turns as f64)),
                     ("health", JsonValue::Str(state.scrubber.health().as_str().to_string())),
-                    ("needs_resync", JsonValue::Bool(state.needs_resync)),
+                    ("needs_resync", JsonValue::Bool(state.turn.needs_resync())),
                     ("scrubs", JsonValue::Num(totals.passes as f64)),
                     ("quarantined", JsonValue::Num(state.scrubber.quarantined().len() as f64)),
                     ("flight_events", JsonValue::Num(state.flight.total_recorded() as f64)),
@@ -1757,15 +1602,7 @@ impl SessionManager {
         fleet: FleetOptions,
         devices: Option<DeviceOptions>,
     ) -> SessionManager {
-        let mut region_frames: Vec<usize> = engine
-            .scg
-            .generalized()
-            .tunable
-            .iter()
-            .map(|&(addr, _)| engine.layout.frame_of(addr))
-            .collect();
-        region_frames.sort_unstable();
-        region_frames.dedup();
+        let region_frames = region_frames(&engine.scg, &engine.layout);
         let core = Arc::new(ManagerCore {
             engine,
             cache: Mutex::new(LruCache::new(cache_capacity)),
@@ -1983,9 +1820,9 @@ impl SessionManager {
 
     /// One debugging turn: specialize the session for `params`, commit
     /// the changed frames transactionally, and account the cost, on the
-    /// owning shard's thread. The hot path is the memoized batch
-    /// evaluator ([`Scg::specialize_from_batch`], one node-table sweep
-    /// through the session's shard-local scratch) and cache-assisted.
+    /// owning shard's thread. The hot path is the shared turn step
+    /// ([`TurnState::step`], one node-table sweep through the session's
+    /// shard-local scratch) and cache-assisted.
     /// See [`ManagerCore::select_on`] for deadline semantics.
     pub fn select_within(
         &self,

@@ -27,10 +27,8 @@
 //! client with an internal error, and the shard thread — and every
 //! other session it owns — keeps serving.
 
-use crate::protocol::param_bits_string;
 use crate::session::{ManagerCore, SessionState, TurnOutcome};
 use crate::telemetry as tel;
-use pfdbg_arch::Bitstream;
 use pfdbg_util::{BitVec, FxHashMap};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -223,7 +221,7 @@ pub(crate) struct Shard {
     /// looked up under one cache lock. Entries published or invalidated
     /// by jobs in the same batch update this map too, so within-batch
     /// ordering semantics match the old one-lock-per-select path.
-    pub(crate) batch: FxHashMap<String, Arc<Bitstream>>,
+    pub(crate) batch: FxHashMap<BitVec, Arc<BitVec>>,
 }
 
 /// Decrements the pending-scrub counter even if the scrub itself
@@ -270,23 +268,22 @@ impl Shard {
 
 fn prefetch_batch(shard: &mut Shard, entries: &[Entry]) {
     shard.batch.clear();
-    let mut keys: Vec<String> = entries
-        .iter()
+    let mut keys = (entries.iter())
         .filter_map(|e| match &e.job {
-            Job::Select { spec: SelectSpec::Params(p), .. } => Some(param_bits_string(p)),
+            Job::Select { spec: SelectSpec::Params(p), .. } => Some(p),
             _ => None,
         })
-        .collect();
-    if keys.is_empty() {
+        .peekable();
+    if keys.peek().is_none() {
         return;
     }
-    keys.sort_unstable();
-    keys.dedup();
     let mut cache = relock(shard.core.cache());
     for key in keys {
-        if let Some(bits) = cache.get(&key) {
-            let bits = bits.clone();
-            shard.batch.insert(key, bits);
+        if shard.batch.contains_key(key) {
+            continue;
+        }
+        if let Some(packed) = cache.get(key) {
+            shard.batch.insert(key.clone(), packed.clone());
         }
     }
 }

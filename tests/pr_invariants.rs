@@ -2,13 +2,60 @@
 //! placements, conflict-free routings, and correct tunable-net
 //! convergence, over randomized packed designs.
 
-use parameterized_fpga_debug::arch::{build_rrg, ArchSpec, Device, RRKind, TileKind};
+use parameterized_fpga_debug::arch::{build_rrg, ArchSpec, Device, RRGraph, RRKind, TileKind};
 use parameterized_fpga_debug::netlist::NodeId;
 use parameterized_fpga_debug::pr::{
-    place, route, Block, PRNet, PackedDesign, PlaceConfig, RouteConfig, SourceRef,
+    place, route, Block, PRNet, PackedDesign, PlaceConfig, Placement, RouteConfig, RoutedDesign,
+    SourceRef,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+
+/// Every branch of every net is a tree rooted at its alternative's
+/// source opin that reaches each sink's chosen pin: no node has two
+/// parents, and walking parents from any node ends at the root.
+fn branches_are_trees(
+    design: &PackedDesign,
+    placement: &Placement,
+    rrg: &RRGraph,
+    routed: &RoutedDesign,
+) -> Result<(), String> {
+    for nr in &routed.routes {
+        for br in &nr.branches {
+            let s = &design.nets[nr.net].sources[br.alternative];
+            let loc = placement.locs[s.block];
+            let pin = match design.blocks[s.block] {
+                Block::Clb(_) => s.ble,
+                _ => loc.sub as usize,
+            };
+            let root = rrg.opin(loc.x as usize, loc.y as usize, pin).ok_or("no source opin")?;
+            let mut parent = HashMap::new();
+            for &(from, to) in &br.edges {
+                if to == root || parent.insert(to, from).is_some() {
+                    return Err(format!("net {}: {to:?} has two parents", nr.net));
+                }
+            }
+            for &start in parent.keys() {
+                let mut node = start;
+                for _ in 0..=parent.len() {
+                    if node == root {
+                        break;
+                    }
+                    node = *parent
+                        .get(&node)
+                        .ok_or_else(|| format!("net {}: {node:?} is cut off", nr.net))?;
+                }
+                if node != root {
+                    return Err(format!("net {}: a cycle through {start:?}", nr.net));
+                }
+            }
+            if let Some(pin) = nr.sink_pins.values().find(|p| !parent.contains_key(p)) {
+                return Err(format!("net {}: sink pin {pin:?} unreached", nr.net));
+            }
+        }
+    }
+    Ok(())
+}
 
 /// A random but well-formed packed design: `n_clb` CLBs, a few pads, and
 /// random point-to-multipoint nets (some tunable).
@@ -107,6 +154,8 @@ proptest! {
             // invariant below only applies to successful routings.
             return Ok(());
         }
+        let trees = branches_are_trees(&design, &placement, &rrg, &routed);
+        prop_assert!(trees.is_ok(), "{:?}", trees);
         // Wire/ipin owned by at most one net (opins are shared by
         // construction — same signal).
         let mut owner: HashMap<u32, usize> = HashMap::new();
